@@ -24,37 +24,15 @@ import (
 	"github.com/climate-rca/rca/internal/stats"
 )
 
-// benchSetup keeps the benchmark corpus a consistent, moderate size.
-func benchSetup() Setup {
-	return Setup{
-		Corpus:       CorpusConfig{AuxModules: 40, Seed: 2},
-		EnsembleSize: 30,
-		ExpSize:      8,
-	}
-}
-
-// benchSession builds a fresh Session with the benchSetup sizing.
-func benchSession() *Session {
+// benchSession builds a fresh Session on the benchmark corpus, a
+// consistent, moderate size.
+func benchSession(opts ...Option) *Session {
 	return NewSession(CorpusConfig{AuxModules: 40, Seed: 2},
-		WithEnsembleSize(30), WithExpSize(8))
+		append([]Option{WithEnsembleSize(30), WithExpSize(8)}, opts...)...)
 }
 
-// BenchmarkPipelineSixSpecsOneShot runs the six §6 experiments as
-// independent one-shot calls (the seed API): every call regenerates
-// the corpus, re-runs the ensemble and recompiles the metagraph.
-// Compare against BenchmarkPipelineSixSpecsSession.
-func BenchmarkPipelineSixSpecsOneShot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, spec := range Experiments() {
-			if _, err := RunExperiment(spec, benchSetup()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkPipelineSixSpecsSession runs the same six experiments on
-// one Session per iteration: the corpus, the ensemble ECT fingerprint
+// BenchmarkPipelineSixSpecsSession runs the six §6 experiments on one
+// Session per iteration: the corpus, the ensemble ECT fingerprint
 // and the metagraphs are generated once and shared, and RunAll fans
 // out concurrently — the compile-once, run-many speedup the Session
 // API exists for.
@@ -62,28 +40,6 @@ func BenchmarkPipelineSixSpecsSession(b *testing.B) {
 	var fits, iters uint64
 	for i := 0; i < b.N; i++ {
 		s := benchSession()
-		if _, err := s.RunAll(context.Background(), Experiments()); err != nil {
-			b.Fatal(err)
-		}
-		f, it := s.LassoStats()
-		fits += f
-		iters += it
-	}
-	b.ReportMetric(float64(fits)/float64(b.N), "lassofits")
-	b.ReportMetric(float64(iters)/float64(b.N), "lassoiters")
-}
-
-// BenchmarkPipelineSixSpecsSessionISTA is the same six-spec session
-// with the §3 selection stage pinned to the dense ISTA reference
-// solver instead of the coordinate-screened default. The gap to
-// BenchmarkPipelineSixSpecsSession is the lasso-engine win; outputs
-// are pinned bit-identical, so the two benchmarks do exactly the same
-// science.
-func BenchmarkPipelineSixSpecsSessionISTA(b *testing.B) {
-	var fits, iters uint64
-	for i := 0; i < b.N; i++ {
-		s := NewSession(CorpusConfig{AuxModules: 40, Seed: 2},
-			WithEnsembleSize(30), WithExpSize(8), WithLassoSolver(SolverISTA))
 		if _, err := s.RunAll(context.Background(), Experiments()); err != nil {
 			b.Fatal(err)
 		}
@@ -103,25 +59,25 @@ func BenchmarkPipelineSixSpecsSessionISTA(b *testing.B) {
 // the same science.
 func BenchmarkPipelineSixSpecsSessionUnbatched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := NewSession(CorpusConfig{AuxModules: 40, Seed: 2},
-			WithEnsembleSize(30), WithExpSize(8), WithBatch(1))
-		if _, err := s.RunAll(context.Background(), Experiments()); err != nil {
+		if _, err := benchSession(WithBatch(1)).RunAll(context.Background(), Experiments()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func runSpec(b *testing.B, spec Scenario, print bool) *Outcome {
+// runScenario runs sc on a fresh session per iteration, printing the
+// first outcome when print is set.
+func runScenario(b *testing.B, sc Scenario, print bool) *Outcome {
 	b.Helper()
 	var out *Outcome
 	var err error
 	for i := 0; i < b.N; i++ {
-		out, err = RunExperiment(spec, benchSetup())
+		out, err = benchSession().Run(context.Background(), sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 && print {
-			fmt.Printf("\n--- %s ---\n%s", spec.Name(), FormatOutcome(out))
+			fmt.Printf("\n--- %s ---\n%s", sc.Name(), FormatOutcome(out))
 		}
 	}
 	return out
@@ -131,13 +87,8 @@ func runSpec(b *testing.B, spec Scenario, print bool) *Outcome {
 // rates under selective AVX2/FMA disablement strategies.
 func BenchmarkTable1SelectiveFMA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := RunTable1(Table1Setup{
-			Corpus:        CorpusConfig{AuxModules: 40, Seed: 2},
-			EnsembleSize:  30,
-			ExpSize:       8,
-			TopK:          8,
-			RandomSamples: 4,
-		})
+		rows, err := benchSession().Table1(context.Background(),
+			Table1Setup{ExpSize: 8, TopK: 8, RandomSamples: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +150,7 @@ func BenchmarkFigure4DegreeDistribution(b *testing.B) {
 // dominant median distance and a tiny induced subgraph containing the
 // defect.
 func BenchmarkWsubBugSection61(b *testing.B) {
-	out := runSpec(b, WSUBBUG, true)
+	out := runScenario(b, WSUBBUG, true)
 	if out.MedianRanking[0].Name != "WSUB" {
 		b.Fatalf("wsub not top-ranked")
 	}
@@ -207,17 +158,17 @@ func BenchmarkWsubBugSection61(b *testing.B) {
 
 // BenchmarkFigure5and6RandMT regenerates the RAND-MT two-iteration
 // narrative (Figures 5-6).
-func BenchmarkFigure5and6RandMT(b *testing.B) { runSpec(b, RANDMT, true) }
+func BenchmarkFigure5and6RandMT(b *testing.B) { runScenario(b, RANDMT, true) }
 
 // BenchmarkFigure7GoffGratch regenerates the GOFFGRATCH iteration
 // (Figure 7).
-func BenchmarkFigure7GoffGratch(b *testing.B) { runSpec(b, GOFFGRATCH, true) }
+func BenchmarkFigure7GoffGratch(b *testing.B) { runScenario(b, GOFFGRATCH, true) }
 
 // BenchmarkFigure8AVX2 regenerates Figure 8 and the §6.4 in-centrality
 // listing of the bug community (dum__micro_mg_tend et al.).
 func BenchmarkFigure8AVX2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment(AVX2, benchSetup())
+		out, err := benchSession().Run(context.Background(), AVX2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +190,7 @@ func BenchmarkFigure8AVX2(b *testing.B) {
 // distribution of the GOFFGRATCH induced subgraph.
 func BenchmarkFigure10GoffGratchDegrees(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment(GOFFGRATCH, benchSetup())
+		out, err := benchSession().Run(context.Background(), GOFFGRATCH)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +211,7 @@ func BenchmarkFigure10GoffGratchDegrees(b *testing.B) {
 // GOFFGRATCH subgraph.
 func BenchmarkFigure11NonBacktracking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment(GOFFGRATCH, benchSetup())
+		out, err := benchSession().Run(context.Background(), GOFFGRATCH)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,11 +236,11 @@ func BenchmarkFigure11NonBacktracking(b *testing.B) {
 
 // BenchmarkFigure12RandomBug regenerates the RANDOMBUG single
 // iteration (Figure 12, supplement §8.2.1).
-func BenchmarkFigure12RandomBug(b *testing.B) { runSpec(b, RANDOMBUG, true) }
+func BenchmarkFigure12RandomBug(b *testing.B) { runScenario(b, RANDOMBUG, true) }
 
 // BenchmarkFigure13and14Dyn3Bug regenerates the DYN3BUG two-iteration
 // narrative (Figures 13-14, supplement §8.2.2).
-func BenchmarkFigure13and14Dyn3Bug(b *testing.B) { runSpec(b, DYN3BUG, true) }
+func BenchmarkFigure13and14Dyn3Bug(b *testing.B) { runScenario(b, DYN3BUG, true) }
 
 // BenchmarkFigure15AVX2Unrestricted regenerates Figure 15: the AVX2
 // slice without the CAM-module restriction (larger graph, same
@@ -331,9 +282,8 @@ func BenchmarkAblationGNDepth(b *testing.B) {
 			fmt.Printf("\n--- Ablation: G-N depth ---\n")
 		}
 		for _, depth := range []int{1, 2, 3} {
-			s := benchSetup()
-			s.Refine = RefineOptions{GNIterations: depth}
-			out, err := RunExperiment(GOFFGRATCH, s)
+			s := benchSession(WithRefineOptions(RefineOptions{GNIterations: depth}))
+			out, err := s.Run(context.Background(), GOFFGRATCH)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -355,9 +305,8 @@ func BenchmarkAblationCentralityChoice(b *testing.B) {
 			fmt.Printf("\n--- Ablation: centrality choice ---\n")
 		}
 		for _, kind := range []string{"eigen-in", "degree", "pagerank", "nonbacktracking"} {
-			s := benchSetup()
-			s.Refine = RefineOptions{Centrality: kind}
-			out, err := RunExperiment(GOFFGRATCH, s)
+			s := benchSession(WithRefineOptions(RefineOptions{Centrality: kind}))
+			out, err := s.Run(context.Background(), GOFFGRATCH)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -378,9 +327,8 @@ func BenchmarkAblationCommunityMethod(b *testing.B) {
 			fmt.Printf("\n--- Ablation: community method ---\n")
 		}
 		for _, method := range []string{"girvan-newman", "louvain"} {
-			s := benchSetup()
-			s.Refine = RefineOptions{CommunityMethod: method}
-			out, err := RunExperiment(GOFFGRATCH, s)
+			s := benchSession(WithRefineOptions(RefineOptions{CommunityMethod: method}))
+			out, err := s.Run(context.Background(), GOFFGRATCH)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -403,9 +351,8 @@ func BenchmarkAblationCommunitySampling(b *testing.B) {
 			fmt.Printf("\n--- Ablation: community vs whole-graph sampling ---\n")
 		}
 		for _, whole := range []bool{false, true} {
-			s := benchSetup()
-			s.Refine = RefineOptions{WholeGraphSampling: whole}
-			out, err := RunExperiment(RANDMT, s)
+			s := benchSession(WithRefineOptions(RefineOptions{WholeGraphSampling: whole}))
+			out, err := s.Run(context.Background(), RANDMT)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -451,7 +398,7 @@ func BenchmarkAblationSliceKind(b *testing.B) {
 // selection methods: lasso vs standardized median distance.
 func BenchmarkAblationSelectionMethods(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := RunExperiment(GOFFGRATCH, benchSetup())
+		out, err := benchSession().Run(context.Background(), GOFFGRATCH)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,23 +37,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 
 	rca "github.com/climate-rca/rca"
-	"github.com/climate-rca/rca/internal/fault"
+	"github.com/climate-rca/rca/internal/cliflags"
 )
-
-// defaultFaultSeed mirrors fault.FromEnv's seed resolution so the
-// -fault-seed flag's default reflects RCAD_FAULT_SEED.
-func defaultFaultSeed() uint64 {
-	if s := os.Getenv("RCAD_FAULT_SEED"); s != "" {
-		if v, err := strconv.ParseUint(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return 1
-}
 
 // injectFlags collects repeated -inject values.
 type injectFlags []string
@@ -74,37 +62,22 @@ func main() {
 		selectK   = flag.Int("selectk", 5, "lasso target support (-inject runs)")
 		list      = flag.Bool("list", false, "list experiments and exit")
 		all       = flag.Bool("all", false, "run all six §6 experiments concurrently")
-		aux       = flag.Int("aux", 100, "auxiliary module count (corpus scale)")
-		seed      = flag.Uint64("seed", 1, "corpus structure seed")
-		ensemble  = flag.Int("ensemble", 40, "ensemble size")
-		runs      = flag.Int("runs", 10, "experimental run count")
-		sampler   = flag.String("sampler", "value", "sampler: value | reach")
 		table1    = flag.Bool("table1", false, "run the Table 1 selective-FMA study instead")
 		topk      = flag.Int("topk", 50, "modules to disable per Table 1 strategy")
 		dot       = flag.String("dot", "", "write the induced subgraph (Graphviz) to this file")
-		graded    = flag.Bool("magnitudes", false, "use graded (magnitude-ranked) sampling (§6.3 extension)")
-		parallel  = flag.Int("parallel", 0, "worker pool per investigation: ensemble members and graph kernels (0 = GOMAXPROCS); results are identical at every setting")
-		batch     = flag.Int("batch", 0, "members per batched lockstep VM (0 = default 8, 1 = solo VMs); results are bit-identical at every width")
-		engine    = flag.String("engine", "bytecode", "execution engine: bytecode (compiled register VM, default) | tree (AST-walking oracle); outputs are bit-identical")
-		lassoSv   = flag.String("lasso", "cd", "lasso solver: cd (coordinate-screened, default) | ista (dense reference oracle); outputs are bit-identical")
 		server    = flag.String("server", "", "rcad base URL: run scenarios on a daemon instead of in-process (corpus/ensemble sizing then comes from the daemon's flags)")
 		storeDir  = flag.String("store", "", "artifact store directory: persist corpora, compiled programs and metagraphs so later runs (and rcad daemons) start warm")
-		faults    = flag.String("faults", os.Getenv("RCAD_FAULTS"), "deterministic fault-injection spec for -store I/O, e.g. 'artifact.put:eio@0.1' (default $RCAD_FAULTS)")
-		faultSd   = flag.Uint64("fault-seed", defaultFaultSeed(), "fault-injection seed: same spec + seed replays the same fault sequence (default $RCAD_FAULT_SEED or 1)")
 	)
+	sf := cliflags.Bind(flag.CommandLine)
 	flag.Var(&injects, "inject",
 		"injection (repeatable): sub.var*=F | sub.var:OLD=>NEW | prng=mt | fma=all|m1,m2 | param:NAME=V")
 	flag.Var(&pool, "pool",
 		"search candidate injection (repeatable, same grammar as -inject); used with -search")
 	flag.Parse()
 
-	if *faults != "" {
-		plane, err := fault.Parse(*faults, *faultSd)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rca:", err)
-			os.Exit(2)
-		}
-		fault.SetGlobal(plane)
+	if _, err := sf.ArmFaults(); err != nil {
+		fmt.Fprintln(os.Stderr, "rca:", err)
+		os.Exit(2)
 	}
 
 	if *list {
@@ -138,10 +111,10 @@ func main() {
 			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 			var e, r, k int
 			if set["ensemble"] {
-				e = *ensemble
+				e = sf.Ensemble
 			}
 			if set["runs"] {
-				r = *runs
+				r = sf.Runs
 			}
 			if set["topk"] {
 				k = *topk
@@ -171,54 +144,12 @@ func main() {
 		return
 	}
 
-	// Validate the sampler up front: a typo should fail here, not ten
-	// minutes into an ensemble run.
-	var strategy rca.Sampler
-	switch *sampler {
-	case "value":
-		strategy = rca.ValueSampling(0)
-		if *graded {
-			strategy = rca.GradedSampling()
-		}
-	case "reach":
-		if *graded {
-			fmt.Fprintln(os.Stderr, "rca: -magnitudes requires -sampler value")
-			os.Exit(2)
-		}
-		strategy = rca.ReachSampling()
-	default:
-		fmt.Fprintf(os.Stderr, "rca: invalid -sampler %q (valid: value, reach)\n", *sampler)
-		os.Exit(2)
-	}
-
-	engKind, err := rca.ParseEngine(*engine)
+	// Validate the sampler and engine up front: a typo should fail
+	// here, not ten minutes into an ensemble run.
+	opts, err := sf.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rca:", err)
 		os.Exit(2)
-	}
-
-	solver, err := rca.ParseLassoSolver(*lassoSv)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rca:", err)
-		os.Exit(2)
-	}
-
-	ccfg := rca.DefaultCorpus()
-	ccfg.AuxModules = *aux
-	ccfg.Seed = *seed
-
-	opts := []rca.Option{
-		rca.WithEnsembleSize(*ensemble),
-		rca.WithExpSize(*runs),
-		rca.WithSampler(strategy),
-		rca.WithEngine(engKind),
-		rca.WithLassoSolver(solver),
-	}
-	if *parallel > 0 {
-		opts = append(opts, rca.WithParallelism(*parallel))
-	}
-	if *batch > 0 {
-		opts = append(opts, rca.WithBatch(*batch))
 	}
 	if *storeDir != "" {
 		store, err := rca.OpenArtifactStore(*storeDir)
@@ -228,13 +159,13 @@ func main() {
 		}
 		opts = append(opts, rca.WithArtifacts(store))
 	}
-	session := rca.NewSession(ccfg, opts...)
+	session := rca.NewSession(sf.Corpus(), opts...)
 
 	switch {
 	case *table1:
 		rows, err := session.Table1(ctx, rca.Table1Setup{
-			EnsembleSize: *ensemble,
-			ExpSize:      *runs,
+			EnsembleSize: sf.Ensemble,
+			ExpSize:      sf.Runs,
 			TopK:         *topk,
 		})
 		if err != nil {
@@ -250,8 +181,8 @@ func main() {
 			os.Exit(2)
 		}
 		sopts := req.Options()
-		if *parallel > 0 {
-			sopts.Parallelism = *parallel
+		if sf.Parallel > 0 {
+			sopts.Parallelism = sf.Parallel
 		}
 		res, err := rca.Search(ctx, session, sopts)
 		if err != nil {

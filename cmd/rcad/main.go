@@ -36,39 +36,18 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	rca "github.com/climate-rca/rca"
-	"github.com/climate-rca/rca/internal/fault"
+	"github.com/climate-rca/rca/internal/cliflags"
 	"github.com/climate-rca/rca/internal/serve"
 )
-
-// defaultFaultSeed mirrors fault.FromEnv's seed resolution so the
-// -fault-seed flag's default reflects RCAD_FAULT_SEED.
-func defaultFaultSeed() uint64 {
-	if s := os.Getenv("RCAD_FAULT_SEED"); s != "" {
-		if v, err := strconv.ParseUint(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return 1
-}
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		aux      = flag.Int("aux", 100, "auxiliary module count (corpus scale)")
-		seed     = flag.Uint64("seed", 1, "corpus structure seed")
-		ensemble = flag.Int("ensemble", 40, "ensemble size")
-		runs     = flag.Int("runs", 10, "experimental run count")
-		sampler  = flag.String("sampler", "value", "sampler: value | reach | graded")
-		parallel = flag.Int("parallel", 0, "worker pool per investigation (0 = GOMAXPROCS)")
-		batch    = flag.Int("batch", 0, "members per batched lockstep VM (0 = default 8, 1 = solo VMs)")
-		engine   = flag.String("engine", "bytecode", "execution engine: bytecode (compiled register VM, default) | tree (AST-walking oracle)")
-		lassoSv  = flag.String("lasso", "cd", "lasso solver: cd (coordinate-screened, default) | ista (dense reference oracle)")
 		workers  = flag.Int("workers", 2, "concurrent pipeline executions")
 		queue    = flag.Int("queue", 64, "bounded job-queue capacity")
 		outcomes = flag.Int("outcomes", 128, "in-memory LRU outcome-store capacity")
@@ -78,43 +57,22 @@ func main() {
 		workerID = flag.String("worker-id", "", "drain the artifact store's shared job queue under this worker name (requires -store)")
 		peersCSV = flag.String("worker-peers", "", "comma-separated worker names sharing the queue (affinity hashing); default just -worker-id")
 		warm     = flag.Bool("warm", true, "precompute the control-ensemble fingerprint at startup")
-		faults   = flag.String("faults", os.Getenv("RCAD_FAULTS"), "deterministic fault-injection spec, e.g. 'artifact.put:eio@0.1;worker.exec:crash@after=2' (default $RCAD_FAULTS; see DESIGN.md 'Failure model')")
-		faultSd  = flag.Uint64("fault-seed", defaultFaultSeed(), "fault-injection seed: same spec + seed replays the same fault sequence (default $RCAD_FAULT_SEED or 1)")
 		maxAtt   = flag.Int("max-attempts", 3, "attempt budget per job before it is dead-lettered (terminal failed state)")
 		jobTO    = flag.Duration("job-timeout", 0, "per-job execution deadline; a timed-out attempt counts against -max-attempts (0 = none)")
 	)
+	sf := cliflags.Bind(flag.CommandLine)
 	flag.Parse()
 
-	if *faults != "" {
-		plane, err := fault.Parse(*faults, *faultSd)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rcad:", err)
-			os.Exit(2)
-		}
-		fault.SetGlobal(plane)
-		log.Printf("rcad: fault plane armed: %s (seed %d)", *faults, *faultSd)
-	}
-
-	var strategy rca.Sampler
-	switch *sampler {
-	case "value":
-		strategy = rca.ValueSampling(0)
-	case "reach":
-		strategy = rca.ReachSampling()
-	case "graded":
-		strategy = rca.GradedSampling()
-	default:
-		fmt.Fprintf(os.Stderr, "rcad: invalid -sampler %q (valid: value, reach, graded)\n", *sampler)
-		os.Exit(2)
-	}
-
-	engKind, err := rca.ParseEngine(*engine)
+	armed, err := sf.ArmFaults()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rcad:", err)
 		os.Exit(2)
 	}
+	if armed {
+		log.Printf("rcad: fault plane armed: %s (seed %d)", sf.Faults, sf.FaultSeed)
+	}
 
-	solver, err := rca.ParseLassoSolver(*lassoSv)
+	opts, err := sf.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rcad:", err)
 		os.Exit(2)
@@ -141,26 +99,10 @@ func main() {
 		}
 	}
 
-	ccfg := rca.DefaultCorpus()
-	ccfg.AuxModules = *aux
-	ccfg.Seed = *seed
-	opts := []rca.Option{
-		rca.WithEnsembleSize(*ensemble),
-		rca.WithExpSize(*runs),
-		rca.WithSampler(strategy),
-		rca.WithEngine(engKind),
-		rca.WithLassoSolver(solver),
-	}
-	if *parallel > 0 {
-		opts = append(opts, rca.WithParallelism(*parallel))
-	}
-	if *batch > 0 {
-		opts = append(opts, rca.WithBatch(*batch))
-	}
 	if store != nil {
 		opts = append(opts, rca.WithArtifacts(store))
 	}
-	session := rca.NewSession(ccfg, opts...)
+	session := rca.NewSession(sf.Corpus(), opts...)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -168,7 +110,7 @@ func main() {
 	if *warm {
 		// Pay the control-ensemble cost before the first job instead
 		// of inside it; a Ctrl-C during warmup still exits promptly.
-		log.Printf("rcad: warming control-ensemble fingerprint (aux=%d, ensemble=%d)", *aux, *ensemble)
+		log.Printf("rcad: warming control-ensemble fingerprint (aux=%d, ensemble=%d)", sf.Aux, sf.Ensemble)
 		start := time.Now()
 		if _, err := session.Fingerprint(ctx); err != nil {
 			if errors.Is(err, rca.ErrCanceled) {

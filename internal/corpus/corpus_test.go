@@ -59,52 +59,6 @@ func TestCoreModulesPresent(t *testing.T) {
 	}
 }
 
-func TestBugInjectionChangesSource(t *testing.T) {
-	find := func(c *Corpus, file string) string {
-		for _, f := range c.Files {
-			if f.Name == file {
-				return f.Source
-			}
-		}
-		t.Fatalf("file %s missing", file)
-		return ""
-	}
-	clean := Generate(Config{AuxModules: 5})
-	if !strings.Contains(find(clean, "microp_aero.F90"), "max(0.20") {
-		t.Fatal("clean wsub floor missing")
-	}
-	ws := Generate(Config{AuxModules: 5, Bug: BugWsub})
-	if !strings.Contains(find(ws, "microp_aero.F90"), "max(2.00") {
-		t.Fatal("WSUBBUG not injected")
-	}
-	gg := Generate(Config{AuxModules: 5, Bug: BugGoffGratch})
-	if !strings.Contains(find(gg, "wv_saturation.F90"), "8.1828e-3") {
-		t.Fatal("GOFFGRATCH not injected")
-	}
-	if strings.Contains(find(clean, "wv_saturation.F90"), "8.1828e-3") {
-		t.Fatal("clean corpus contains GOFFGRATCH bug")
-	}
-	d3 := Generate(Config{AuxModules: 5, Bug: BugDyn3})
-	if !strings.Contains(find(d3, "dyn3.F90"), "pref * 0.505") {
-		t.Fatal("DYN3BUG not injected")
-	}
-	ri := Generate(Config{AuxModules: 5, Bug: BugRandomIdx})
-	if !strings.Contains(find(ri, "dyn3.F90"), ", 2) - state%u") {
-		t.Fatal("RANDOMBUG not injected")
-	}
-}
-
-func TestBugString(t *testing.T) {
-	for b, want := range map[Bug]string{
-		BugNone: "NONE", BugWsub: "WSUBBUG", BugGoffGratch: "GOFFGRATCH",
-		BugDyn3: "DYN3BUG", BugRandomIdx: "RANDOMBUG",
-	} {
-		if b.String() != want {
-			t.Fatalf("%d = %q", b, b.String())
-		}
-	}
-}
-
 func TestMetagraphBuildsFromCorpus(t *testing.T) {
 	c := Generate(Config{AuxModules: 40, Seed: 2})
 	mods, err := c.Parse()

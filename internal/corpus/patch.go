@@ -10,8 +10,8 @@ import (
 	"github.com/climate-rca/rca/internal/fortran"
 )
 
-// This file is the patch engine that opens the closed Bug enum into
-// arbitrary user-composable source defects: a Patch is a small edit to
+// This file is the patch engine behind every injected source defect,
+// prewired or user-composed: a Patch is a small edit to
 // one assignment statement of one named subprogram, located through
 // the FortLite AST (so the target must actually parse as an
 // assignment) and applied to the raw source text (so the rest of the
@@ -220,31 +220,6 @@ func applyOne(c *Corpus, p Patch) error {
 	}
 	c.Files[fi].Source = src
 	return nil
-}
-
-// BugPatch maps a legacy Bug enum value onto the equivalent source
-// patch over the clean corpus. Generate(cfg with Bug=b) and
-// Apply(Generate(clean cfg), patch) produce byte-identical source
-// trees — pinned by TestBugPatchEquivalence.
-func BugPatch(b Bug) (Patch, bool) {
-	switch b {
-	case BugWsub:
-		return ReplaceInAssign{Module: "microp_aero", Subprogram: "aero_run",
-			Var: "wsub", Old: "0.20", New: "2.00"}, true
-	case BugGoffGratch:
-		return ReplaceInAssign{Module: "wv_saturation", Subprogram: "goffgratch_svp",
-			Var: "e2", Old: "8.1328e-3", New: "8.1828e-3"}, true
-	case BugDyn3:
-		return ReplaceInAssign{Module: "dyn3", Subprogram: "dyn3_hydro",
-			Var: "pint", Old: "pref * 0.5", New: "pref * 0.505"}, true
-	case BugRandomIdx:
-		return ReplaceInAssign{Module: "dyn3", Subprogram: "dyn3_hydro",
-			Var: "omg_tmp", Old: "shift(state%u, 1)", New: "shift(state%u, 2)"}, true
-	case BugLand:
-		return ReplaceInAssign{Module: "lnd_snow", Subprogram: "lnd_run",
-			Var: "snowhland", Old: "snowhland * 0.98", New: "snowhland * 0.90"}, true
-	}
-	return nil, false
 }
 
 // Fingerprint is a stable hash of the full source tree (file names and

@@ -1,23 +1,21 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/climate-rca/rca/internal/corpus"
 )
 
-// testSetup keeps CI runtimes modest while retaining the shape of the
-// paper's experiments.
-func testSetup() Setup {
-	return Setup{
-		Corpus:       corpus.Config{AuxModules: 40, Seed: 2},
-		EnsembleSize: 30,
-		ExpSize:      8,
-	}
+// testSession is a fresh session sized to keep CI runtimes modest
+// while retaining the shape of the paper's experiments.
+func testSession(opts ...Option) *Session {
+	return NewSession(corpus.Config{AuxModules: 40, Seed: 2},
+		append([]Option{WithEnsembleSize(30), WithExpSize(8)}, opts...)...)
 }
 
 func TestWSUBBUGPipeline(t *testing.T) {
-	out, err := Run(WSUBBUG, testSetup())
+	out, err := testSession().Run(context.Background(), WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +46,7 @@ func TestWSUBBUGPipeline(t *testing.T) {
 }
 
 func TestGOFFGRATCHPipeline(t *testing.T) {
-	out, err := Run(GOFFGRATCH, testSetup())
+	out, err := testSession().Run(context.Background(), GOFFGRATCH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestGOFFGRATCHPipeline(t *testing.T) {
 }
 
 func TestRANDMTPipeline(t *testing.T) {
-	out, err := Run(RANDMT, testSetup())
+	out, err := testSession().Run(context.Background(), RANDMT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +94,7 @@ func TestRANDMTPipeline(t *testing.T) {
 }
 
 func TestAVX2Pipeline(t *testing.T) {
-	out, err := Run(AVX2, testSetup())
+	out, err := testSession().Run(context.Background(), AVX2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +116,7 @@ func TestAVX2Pipeline(t *testing.T) {
 }
 
 func TestDYN3BUGPipeline(t *testing.T) {
-	out, err := Run(DYN3BUG, testSetup())
+	out, err := testSession().Run(context.Background(), DYN3BUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +130,7 @@ func TestDYN3BUGPipeline(t *testing.T) {
 }
 
 func TestRANDOMBUGPipeline(t *testing.T) {
-	out, err := Run(RANDOMBUG, testSetup())
+	out, err := testSession().Run(context.Background(), RANDOMBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func TestRANDOMBUGPipeline(t *testing.T) {
 }
 
 func TestCoverageReportedInOutcome(t *testing.T) {
-	out, err := Run(WSUBBUG, testSetup())
+	out, err := testSession().Run(context.Background(), WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +157,7 @@ func TestCoverageReportedInOutcome(t *testing.T) {
 }
 
 func TestReachabilitySamplerVariant(t *testing.T) {
-	s := testSetup()
-	s.SamplerKind = "reach"
-	out, err := Run(GOFFGRATCH, s)
+	out, err := testSession(WithSampler(ReachSampling())).Run(context.Background(), GOFFGRATCH)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,9 +11,7 @@ import (
 )
 
 func TestMagnitudeRefinementVariant(t *testing.T) {
-	s := testSetup()
-	s.Magnitudes = true
-	out, err := Run(DYN3BUG, s)
+	out, err := testSession(WithSampler(GradedSampling())).Run(context.Background(), DYN3BUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +20,7 @@ func TestMagnitudeRefinementVariant(t *testing.T) {
 	}
 	// The graded contraction should shrink past the plain fixed point:
 	// the final subgraph is no larger than the plain run's.
-	plain, err := Run(DYN3BUG, testSetup())
+	plain, err := testSession().Run(context.Background(), DYN3BUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestMagnitudeRefinementVariant(t *testing.T) {
 }
 
 func TestWriteSliceDot(t *testing.T) {
-	out, err := Run(WSUBBUG, testSetup())
+	out, err := testSession().Run(context.Background(), WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +52,11 @@ func TestWriteSliceDot(t *testing.T) {
 // measurement on real model output: the WSUB bug's contribution
 // dominates.
 func TestVariableContributionsOnModel(t *testing.T) {
-	ctlCorpus := corpus.Generate(corpus.Config{AuxModules: 25, Seed: 2})
-	control, err := model.NewRunner(ctlCorpus)
+	b, err := NewSession(corpus.Config{AuxModules: 25, Seed: 2}).Builds(context.Background(), WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bugCfg := corpus.Config{AuxModules: 25, Seed: 2, Bug: corpus.BugWsub}
-	bugged, err := model.NewRunner(corpus.Generate(bugCfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	control, bugged := b.Control, b.Exper
 	ens, err := control.Ensemble(30, model.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +79,7 @@ func TestVariableContributionsOnModel(t *testing.T) {
 }
 
 func TestFigure11OnSlice(t *testing.T) {
-	out, err := Run(GOFFGRATCH, testSetup())
+	out, err := testSession().Run(context.Background(), GOFFGRATCH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +104,7 @@ func TestDegreeDistributionAndExponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(WSUBBUG, testSetup())
+	out, err := testSession().Run(context.Background(), WSUBBUG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +138,7 @@ func TestDegreeDistributionAndExponent(t *testing.T) {
 }
 
 func TestCommunityInCentralityNoBugs(t *testing.T) {
-	out, err := Run(GOFFGRATCH, testSetup())
+	out, err := testSession().Run(context.Background(), GOFFGRATCH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +148,11 @@ func TestCommunityInCentralityNoBugs(t *testing.T) {
 }
 
 func TestAVX2FullSliceLarger(t *testing.T) {
-	restricted, err := Run(AVX2, testSetup())
+	restricted, err := testSession().Run(context.Background(), AVX2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(AVX2Full, testSetup())
+	full, err := testSession().Run(context.Background(), AVX2Full)
 	if err != nil {
 		t.Fatal(err)
 	}

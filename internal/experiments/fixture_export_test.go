@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -21,41 +20,8 @@ func TestExportLassoFixture(t *testing.T) {
 	if os.Getenv("RCA_EXPORT_FIXTURE") == "" {
 		t.Skip("set RCA_EXPORT_FIXTURE=1 to regenerate internal/lasso/testdata")
 	}
-	setup := testSetup()
-	s := NewSession(setup.Corpus,
-		WithEnsembleSize(setup.EnsembleSize),
-		WithExpSize(setup.ExpSize))
-	ctx := context.Background()
-	fp, err := s.Fingerprint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars := fp.Test.Vars()
-	spec := GOFFGRATCH
-	v, err := s.Verdict(ctx, spec.Scenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(fp.Ensemble) + len(v.ExpRuns)
-	d := len(vars)
-	x := make([]float64, n*d)
-	y := make([]float64, n)
-	for i, r := range fp.Ensemble {
-		for j, name := range vars {
-			x[i*d+j] = r[name]
-		}
-	}
-	for i, r := range v.ExpRuns {
-		row := len(fp.Ensemble) + i
-		y[row] = 1
-		for j, name := range vars {
-			x[row*d+j] = r[name]
-		}
-	}
-	k := spec.SelectK
-	if k <= 0 {
-		k = 5
-	}
+	sc := GOFFGRATCH
+	p, vars, k := selectionDesign(t, testSession(), sc)
 	fix := struct {
 		Name string    `json:"name"`
 		N    int       `json:"n"`
@@ -64,7 +30,7 @@ func TestExportLassoFixture(t *testing.T) {
 		Vars []string  `json:"vars"`
 		X    []float64 `json:"x"`
 		Y    []float64 `json:"y"`
-	}{Name: spec.Name, N: n, D: d, K: k, Vars: vars, X: x, Y: y}
+	}{Name: sc.Name(), N: p.N, D: p.D, K: k, Vars: vars, X: p.X, Y: p.Y}
 	buf, err := json.Marshal(&fix)
 	if err != nil {
 		t.Fatal(err)
@@ -77,5 +43,5 @@ func TestExportLassoFixture(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: n=%d d=%d k=%d", path, n, d, k)
+	t.Logf("wrote %s: n=%d d=%d k=%d", path, p.N, p.D, k)
 }

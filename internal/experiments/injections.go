@@ -332,57 +332,41 @@ func (paramInjection) sites(siteInput) ([]int, []string, error) { return nil, ni
 
 // --- The prewired catalog ------------------------------------------
 
-// fromBugPatch lifts a legacy corpus.BugPatch definition into a
-// SourceReplace injection, so the corpus package stays the single
-// source of truth for the catalog's patch literals.
-func fromBugPatch(b corpus.Bug, site string) Injection {
-	p, ok := corpus.BugPatch(b)
-	if !ok {
-		panic(fmt.Sprintf("experiments: no patch for bug %v", b))
-	}
-	r := p.(corpus.ReplaceInAssign)
-	return SourceReplace{Module: r.Module, Subprogram: r.Subprogram,
-		Var: r.Var, Occurrence: r.Occurrence, Old: r.Old, New: r.New, Site: site}
-}
-
 // WsubDefect transposes 0.20 to 2.00 in microp_aero's wsub assignment
 // (§6.1 WSUBBUG). The defect site is every node with canonical name
 // wsub — the paper counts the whole near-isolated wsub region.
-func WsubDefect() Injection { return fromBugPatch(corpus.BugWsub, "wsub") }
+func WsubDefect() Injection {
+	return SourceReplace{Module: "microp_aero", Subprogram: "aero_run",
+		Var: "wsub", Old: "0.20", New: "2.00", Site: "wsub"}
+}
 
 // GoffGratchDefect changes the water-boiling-temperature coefficient
 // 8.1328e-3 to 8.1828e-3 in the Goff-Gratch elemental function (§6.3).
 // The paper's defect site is the function result es, not the edited
 // intermediate e2.
 func GoffGratchDefect() Injection {
-	return fromBugPatch(corpus.BugGoffGratch, "wv_saturation::goffgratch_svp::es")
+	return SourceReplace{Module: "wv_saturation", Subprogram: "goffgratch_svp",
+		Var: "e2", Old: "8.1328e-3", New: "8.1828e-3", Site: "wv_saturation::goffgratch_svp::es"}
 }
 
 // Dyn3Defect perturbs a coefficient in the dyn3 hydrostatic pressure
 // subroutine (§8.2.2 DYN3BUG).
-func Dyn3Defect() Injection { return fromBugPatch(corpus.BugDyn3, "") }
+func Dyn3Defect() Injection {
+	return SourceReplace{Module: "dyn3", Subprogram: "dyn3_hydro",
+		Var: "pint", Old: "pref * 0.5", New: "pref * 0.505"}
+}
 
 // RandomIdxDefect is the RANDOMBUG array-index error feeding the
-// derived-type state variable omega (§8.2.1).
-func RandomIdxDefect() Injection { return fromBugPatch(corpus.BugRandomIdx, "") }
+// derived-type state variable omega (§8.2.1): the neighbour-coupling
+// shift index is off by one.
+func RandomIdxDefect() Injection {
+	return SourceReplace{Module: "dyn3", Subprogram: "dyn3_hydro",
+		Var: "omg_tmp", Old: "shift(state%u, 1)", New: "shift(state%u, 2)"}
+}
 
 // LandDefect perturbs the land model's snow retention coefficient
 // (§6's land-module defect).
-func LandDefect() Injection { return fromBugPatch(corpus.BugLand, "") }
-
-// BugInjection maps a legacy Bug enum value to its catalog injection.
-func BugInjection(b corpus.Bug) (Injection, bool) {
-	switch b {
-	case corpus.BugWsub:
-		return WsubDefect(), true
-	case corpus.BugGoffGratch:
-		return GoffGratchDefect(), true
-	case corpus.BugDyn3:
-		return Dyn3Defect(), true
-	case corpus.BugRandomIdx:
-		return RandomIdxDefect(), true
-	case corpus.BugLand:
-		return LandDefect(), true
-	}
-	return nil, false
+func LandDefect() Injection {
+	return SourceReplace{Module: "lnd_snow", Subprogram: "lnd_run",
+		Var: "snowhland", Old: "snowhland * 0.98", New: "snowhland * 0.90"}
 }

@@ -217,32 +217,29 @@ func TestScenarioFromJSON(t *testing.T) {
 	}
 }
 
-// TestSpecScenarioConversion pins the deprecated adapter: every
-// prewired Spec converts to a scenario with the same name, options
-// and the catalog injection set.
-func TestSpecScenarioConversion(t *testing.T) {
-	sc := RANDMT.Scenario()
-	if sc.Name() != "RAND-MT" {
-		t.Fatalf("name = %q", sc.Name())
+// TestMultiInjectionScenario composes a source defect, a PRNG swap and
+// an FMA policy into one scenario: name, options and the injection
+// order all survive, and the three layers land in the plan's source
+// and run fingerprints.
+func TestMultiInjectionScenario(t *testing.T) {
+	multi := NewScenario("ALL", ScenarioOptions{SelectK: 2}, WsubDefect(), MersennePRNG(), EnableFMA())
+	if multi.Name() != "ALL" || multi.Options() != (ScenarioOptions{SelectK: 2}) {
+		t.Fatalf("name/options = %q %+v", multi.Name(), multi.Options())
 	}
-	injs := sc.Injections()
-	if len(injs) != 1 || injs[0].ID() != "prng:mt19937" {
-		t.Fatalf("injections = %v", injs)
-	}
-	if o := sc.Options(); !o.CAMOnly || o.SelectK != 5 {
-		t.Fatalf("options = %+v", o)
-	}
-
-	multi := Spec{Name: "ALL", Bug: corpus.BugWsub, Mersenne: true, FMA: true, SelectK: 2}.Scenario()
 	var ids []string
 	for _, inj := range multi.Injections() {
 		ids = append(ids, inj.ID())
 	}
-	joined := strings.Join(ids, "+")
-	for _, want := range []string{"patch:", "prng:mt19937", "fma:*"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("converted injections %q missing %s", joined, want)
-		}
+	want := []string{WsubDefect().ID(), "prng:mt19937", "fma:*"}
+	if strings.Join(ids, "+") != strings.Join(want, "+") {
+		t.Fatalf("injections = %q, want %q", ids, want)
+	}
+	p, err := buildPlan(corpus.Config{AuxModules: 5, Seed: 1}, multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.patches) != 1 || len(p.runIDs) != 2 {
+		t.Fatalf("plan: %d patches, run IDs %q", len(p.patches), p.runIDs)
 	}
 }
 
@@ -302,11 +299,11 @@ func TestVerdictSharedAcrossSlicingOptions(t *testing.T) {
 	s := NewSession(corpus.Config{AuxModules: 10, Seed: 5},
 		WithEnsembleSize(8), WithExpSize(3))
 	ctx := context.Background()
-	a, err := s.Verdict(ctx, AVX2.Scenario())
+	a, err := s.Verdict(ctx, AVX2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Verdict(ctx, AVX2Full.Scenario())
+	b, err := s.Verdict(ctx, AVX2Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +345,10 @@ func TestSiteOverrideSharesBuildCaches(t *testing.T) {
 	s := NewSession(cfg, WithEnsembleSize(8), WithExpSize(3))
 	ctx := context.Background()
 
-	plain := NewScenario("plain", ScenarioOptions{}, fromBugPatch(corpus.BugWsub, ""))
-	sited := NewScenario("sited", ScenarioOptions{}, WsubDefect()) // Site: "wsub"
+	wsub := WsubDefect().(SourceReplace) // Site: "wsub"
+	sited := NewScenario("sited", ScenarioOptions{}, wsub)
+	wsub.Site = ""
+	plain := NewScenario("plain", ScenarioOptions{}, wsub)
 
 	a, err := s.Compile(ctx, plain)
 	if err != nil {

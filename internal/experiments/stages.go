@@ -1,6 +1,6 @@
-// The pipeline's typed stages. experiments.Run used to be one
-// monolithic function; each paper step is now a stage function with
-// typed inputs and outputs so a Session can cache and recombine them:
+// The pipeline's typed stages. Each paper step is a stage function
+// with typed inputs and outputs so a Session can cache and recombine
+// them:
 //
 //	Builds      — control + experimental model builds (corpus parse)
 //	Fingerprint — control ensemble + its ECT PCA fingerprint
@@ -93,7 +93,7 @@ func verdictStage(ctx context.Context, fp *Fingerprint, b *Builds, expSize, par,
 // first (the paper's recommendation); when it is inconclusive — the
 // common case, since changes propagate to most variables — the
 // distribution methods (lasso, median distances) take over.
-func selectStage(sc Scenario, fp *Fingerprint, b *Builds, v *Verdict, solver lasso.Solver) (*Selection, lasso.PathStats, error) {
+func selectStage(sc Scenario, fp *Fingerprint, b *Builds, v *Verdict) (*Selection, lasso.PathStats, error) {
 	sel := &Selection{}
 	var st lasso.PathStats
 	sel.MedianRanking = stats.MedianDistanceRanking(group(fp.Ensemble), group(v.ExpRuns))
@@ -106,7 +106,7 @@ func selectStage(sc Scenario, fp *Fingerprint, b *Builds, v *Verdict, solver las
 		return sel, st, nil
 	}
 	var err error
-	sel.Outputs, st, err = selectOutputs(sc.Options().SelectK, fp.Test.Vars(), fp.Ensemble, v.ExpRuns, sel.MedianRanking, solver)
+	sel.Outputs, st, err = selectOutputs(sc.Options().SelectK, fp.Test.Vars(), fp.Ensemble, v.ExpRuns, sel.MedianRanking)
 	if err != nil {
 		return nil, st, err
 	}

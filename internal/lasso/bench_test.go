@@ -33,7 +33,7 @@ func BenchmarkSelectK(b *testing.B) {
 	p := pipelineShapedProblem()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SelectK(p, 5, 1500); err != nil {
+		if _, _, _, err := SelectK(p, 5, 1500); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,13 +58,13 @@ func catalogProblem(tb testing.TB) (Problem, int) {
 	return Problem{X: fix.X, Y: fix.Y, N: fix.N, D: fix.D}, fix.K
 }
 
-func benchSelectKSolver(b *testing.B, solver Solver) {
+func benchSelectK(b *testing.B, selectK func(Problem, int, int) ([]int, *Result, PathStats, error)) {
 	p, k := catalogProblem(b)
 	b.ReportAllocs()
 	var iters int
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		_, _, st, err := SelectKSolver(p, k, 1500, solver)
+		_, _, st, err := selectK(p, k, 1500)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,8 +74,10 @@ func benchSelectKSolver(b *testing.B, solver Solver) {
 	b.ReportMetric(float64(iters)/float64(b.N), "lassoiters")
 }
 
-func BenchmarkSelectKCD(b *testing.B)   { benchSelectKSolver(b, SolverCD) }
-func BenchmarkSelectKISTA(b *testing.B) { benchSelectKSolver(b, SolverISTA) }
+// BenchmarkSelectKCD times the production engine and
+// BenchmarkSelectKISTA the dense reference oracle on the same design.
+func BenchmarkSelectKCD(b *testing.B)   { benchSelectK(b, SelectK) }
+func BenchmarkSelectKISTA(b *testing.B) { benchSelectK(b, SelectKReference) }
 
 // TestSparseDotMatchesDense pins the bit-identity of the sparse-dot
 // fast path against a dense reference fit.

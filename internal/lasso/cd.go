@@ -1,56 +1,17 @@
 package lasso
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Solver selects the engine SelectKSolver fits each lambda with. Both
-// engines compute the exact same proximal-gradient iterate sequence —
-// fitted weights, supports and iteration counts are bit-identical —
-// but the coordinate-screened engine (SolverCD, the default) certifies
-// most inactive coordinates as inert and skips their per-iteration
-// gradient work, where the dense reference engine (SolverISTA) pays
-// the full O(n·d) accumulation every iteration.
-type Solver int
-
-const (
-	// SolverCD is the coordinate-screened descent engine (the pipeline
-	// default). It runs the same fixed-step proximal descent as the
-	// ISTA oracle, organized around per-coordinate screening: cached
-	// column norms plus a Cauchy–Schwarz bound on the residual drift
-	// since the last full gradient certify that a zero coordinate's
-	// proximal update stays exactly zero, so its gradient entry need
-	// not be computed at all. When the drift budget is exhausted, a
-	// full-gradient refresh — a complete KKT pass over every
-	// coordinate — re-certifies the screen. Skipped work is provably a
-	// no-op, so the emitted iterates are bit-identical to the dense
-	// loop's.
-	SolverCD Solver = iota
-	// SolverISTA is the dense fixed-step proximal-gradient engine —
-	// the original solver, retained as the differential reference
-	// oracle.
-	SolverISTA
-)
-
-// String reports the flag/metrics label for the solver.
-func (s Solver) String() string {
-	if s == SolverISTA {
-		return "ista"
-	}
-	return "cd"
-}
-
-// ParseSolver maps CLI flag values onto solver engines.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "", "cd":
-		return SolverCD, nil
-	case "ista":
-		return SolverISTA, nil
-	}
-	return SolverCD, fmt.Errorf("lasso: unknown solver %q (want cd or ista)", s)
-}
+// This file is the coordinate-screened engine behind SelectK. It runs
+// the same fixed-step proximal descent as the dense ISTA loop,
+// organized around per-coordinate screening: cached column norms plus
+// a Cauchy–Schwarz bound on the residual drift since the last full
+// gradient certify that a zero coordinate's proximal update stays
+// exactly zero, so its gradient entry need not be computed at all.
+// When the drift budget is exhausted, a full-gradient refresh — a
+// complete KKT pass over every coordinate — re-certifies the screen.
+// Skipped work is provably a no-op, so the emitted iterates are
+// bit-identical to the dense loop's.
 
 // cdPath is the per-SelectK state the screened engine shares across
 // every bisection probe: the hoisted design scans, the shared
@@ -116,8 +77,8 @@ func newCDPath(ds *design) *cdPath {
 	return c
 }
 
-// fit runs one lambda's cold-equivalent fit: the shared prefix
-// fast-forward, then the screened tail loop.
+// fit runs one lambda's fit: the shared prefix fast-forward, then the
+// screened tail loop.
 func (c *cdPath) fit(lambda float64, maxIter int, tol float64) *Result {
 	res, w, nb, t := c.pc.prefix(lambda, maxIter, tol)
 	if res != nil {
@@ -212,7 +173,7 @@ func (c *cdPath) refresh(w []float64, lambda float64) (ddrLimit float64) {
 // screenedFrom is the screened engine's tail loop. Its emitted floats
 // — dots, sigmoids, residuals, live gradient entries, the proximal
 // updates and the convergence test — are computed by exactly the
-// expressions fitFrom uses, in the same order; the only difference is
+// expressions fitDense uses, in the same order; the only difference is
 // that screened coordinates' gradient entries are never accumulated
 // and their (provably zero) updates never applied. The screen is
 // maintained conservatively on the side: per iteration one O(n)

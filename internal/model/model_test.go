@@ -83,70 +83,6 @@ func sampleOf(runs []ect.RunOutput, key string) []float64 {
 	return out
 }
 
-// TestECTShape is the calibration gate for the whole reproduction: the
-// control passes the consistency test, and every experiment fails it
-// (paper §6: all experiments produce UF-CAM-ECT failures).
-func TestECTShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration test is slow")
-	}
-	base := corpus.Config{AuxModules: 30, Seed: 2}
-	r := runnerFor(t, base)
-	ens, err := r.Ensemble(40, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	test, err := ect.NewTest(ens, ect.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, runs []ect.RunOutput, wantFail bool) {
-		t.Helper()
-		rate := test.FailureRate(runs)
-		if wantFail && rate < 0.8 {
-			t.Errorf("%s: failure rate %.2f; want >= 0.8", name, rate)
-		}
-		if !wantFail && rate > 0.2 {
-			t.Errorf("%s: failure rate %.2f; want <= 0.2", name, rate)
-		}
-	}
-
-	// Control: fresh members with unseen perturbation seeds must pass.
-	control, err := r.ExperimentalSet(10, 1000, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("control", control, false)
-
-	// RAND-MT: same source, Mersenne Twister PRNG.
-	mt, err := r.ExperimentalSet(10, 1000, RunConfig{RNG: RNGMersenne})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("RAND-MT", mt, true)
-
-	// AVX2: FMA enabled everywhere.
-	fma, err := r.ExperimentalSet(10, 1000, RunConfig{FMA: func(string) bool { return true }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("AVX2", fma, true)
-
-	// Source bugs.
-	for _, bug := range []corpus.Bug{corpus.BugWsub, corpus.BugGoffGratch,
-		corpus.BugDyn3, corpus.BugRandomIdx} {
-		cfg := base
-		cfg.Bug = bug
-		br := runnerFor(t, cfg)
-		runs, err := br.ExperimentalSet(10, 1000, RunConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(bug.String(), runs, true)
-	}
-}
-
 func TestTraceCoversSubprograms(t *testing.T) {
 	r := runnerFor(t, corpus.Config{AuxModules: 15, Seed: 2})
 	seen := map[string]bool{}
