@@ -7,12 +7,19 @@
 // benchmark's fresh ns/op is compared to the committed snapshot's and
 // the process exits nonzero when it regressed beyond -tol.
 //
+// With -ratio NUM/DEN it checks a same-run comparison instead of an
+// absolute number: NUM's ns/op must be strictly below DEN's, both
+// parsed from the same input. Both sides run on one machine in one
+// job, so the gate compares like with like on any runner.
+//
 // Usage:
 //
 //	go test -bench 'PipelineSixSpecs|GirvanNewman|EdgeBetweenness' \
 //	    -benchmem -count 3 -run '^$' ./... | go run ./cmd/benchjson
 //	... | go run ./cmd/benchjson -baseline BENCH_PR5.json -key pr5 \
 //	    -guard BenchmarkPipelineSixSpecsSession -tol 0.15
+//	... | go run ./cmd/benchjson \
+//	    -ratio BenchmarkSelectKCDDense/BenchmarkSelectKISTADense
 package main
 
 import (
@@ -23,6 +30,7 @@ import (
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
 // benchLine matches one -benchmem result row. The -N GOMAXPROCS suffix
@@ -82,6 +90,7 @@ func main() {
 		key      = flag.String("key", "", "top-level object inside the baseline holding the results (e.g. pr5); empty = the file is the results map")
 		guard    = flag.String("guard", "BenchmarkPipelineSixSpecsSession", "benchmark name the regression guard checks")
 		tol      = flag.Float64("tol", 0.15, "allowed fractional ns/op regression before failing")
+		ratio    = flag.String("ratio", "", "NUM/DEN: benchmark names; fails unless NUM's same-run ns/op is below DEN's")
 	)
 	flag.Parse()
 	acc := map[string]*Result{}
@@ -159,6 +168,33 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	if *ratio != "" {
+		if err := checkRatio(acc, *ratio); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// checkRatio fails unless the first of the two benchmarks named by
+// spec ("NUM/DEN") ran strictly faster than the second: NUM/DEN < 1.
+func checkRatio(acc map[string]*Result, spec string) error {
+	num, den, ok := strings.Cut(spec, "/")
+	if !ok || num == "" || den == "" {
+		return fmt.Errorf("-ratio %q: want NUM/DEN benchmark names", spec)
+	}
+	for _, name := range []string{num, den} {
+		if r, ok := acc[name]; !ok || r.NsOp <= 0 {
+			return fmt.Errorf("-ratio: input has no usable %s result", name)
+		}
+	}
+	got := acc[num].NsOp / acc[den].NsOp
+	if got >= 1 {
+		return fmt.Errorf("%s/%s = %.3f, want < 1 (%.0f vs %.0f ns/op)",
+			num, den, got, acc[num].NsOp, acc[den].NsOp)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: %s/%s ok: %.3f < 1\n", num, den, got)
+	return nil
 }
 
 // checkGuard fails when the guarded benchmark's fresh ns/op exceeds

@@ -16,10 +16,9 @@ package corpus
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/climate-rca/rca/internal/fortran"
+	"github.com/climate-rca/rca/internal/lru"
 	"github.com/climate-rca/rca/internal/rng"
 )
 
@@ -152,32 +151,25 @@ func (c *Corpus) add(name, component string, core bool, src string) {
 // parse once per process instead of once per source fingerprint; parsed
 // modules are immutable (every consumer — metagraph, coverage, both
 // execution engines — reads the AST only), so sharing them is safe.
-// The cache is capped, not evicted: corpus files are generated from a
-// bounded configuration space.
-var (
-	parseCache     sync.Map // source string → []*fortran.Module
-	parseCacheSize atomic.Int64
-)
+// Every new corpus configuration brings new files, so the cache is an
+// LRU bound rather than a cap: a long-lived process keeps its working
+// set (the bound exceeds the 561-file paper-scale corpus) and sheds
+// corpora it stopped using.
+var parseCache = lru.New[string, []*fortran.Module](parseCacheMax)
 
-const parseCacheMax = 8192
+const parseCacheMax = 1024
 
 func parseFileCached(src string) ([]*fortran.Module, error) {
-	if v, ok := parseCache.Load(src); ok {
-		return v.([]*fortran.Module), nil
+	if ms, ok := parseCache.Get(src); ok {
+		return ms, nil
 	}
 	ms, err := fortran.ParseFile(src)
 	if err != nil {
 		return nil, err
 	}
-	if parseCacheSize.Load() < parseCacheMax {
-		if v, loaded := parseCache.LoadOrStore(src, ms); loaded {
-			// A concurrent first parse won the race: return its modules
-			// so identical sources always share pointer identity.
-			return v.([]*fortran.Module), nil
-		}
-		parseCacheSize.Add(1)
-	}
-	return ms, nil
+	// A concurrent first parse may have won the race: Add returns its
+	// modules so identical sources share pointer identity.
+	return parseCache.Add(src, ms), nil
 }
 
 // Parse parses every file into FortLite modules, in generation order

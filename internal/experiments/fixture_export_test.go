@@ -4,23 +4,32 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // TestExportLassoFixture regenerates internal/lasso/testdata's catalog
-// selection design: the exact standardizable (X, y) matrix selectOutputs
-// hands the lasso for the GOFFGRATCH scenario. The fixture lets the
-// lasso package benchmark its engines on a real catalog problem —
-// small true support, degenerate near-duplicate columns — instead of
-// only the synthetic pipeline-shaped design. Guarded by an env var so
-// a normal test run never rewrites testdata:
+// selection designs: the exact standardizable (X, y) matrices
+// selectOutputs hands the lasso for two scenarios. The fixtures let
+// the lasso package benchmark its engines on real catalog problems
+// instead of only the synthetic pipeline-shaped design: GOFFGRATCH has
+// a small support (most coefficients stay zero, so screening skips
+// most columns) and degenerate near-duplicate columns; DYN3BUG has a
+// dense support (most coefficients go nonzero and the screen refreshes
+// often), the case where per-iteration row work dominates. Guarded by
+// an env var so a normal test run never rewrites testdata:
 //
 //	RCA_EXPORT_FIXTURE=1 go test ./internal/experiments -run TestExportLassoFixture
 func TestExportLassoFixture(t *testing.T) {
 	if os.Getenv("RCA_EXPORT_FIXTURE") == "" {
 		t.Skip("set RCA_EXPORT_FIXTURE=1 to regenerate internal/lasso/testdata")
 	}
-	sc := GOFFGRATCH
+	for _, sc := range []Scenario{GOFFGRATCH, DYN3BUG} {
+		exportLassoFixture(t, sc)
+	}
+}
+
+func exportLassoFixture(t *testing.T, sc Scenario) {
 	p, vars, k := selectionDesign(t, testSession(), sc)
 	fix := struct {
 		Name string    `json:"name"`
@@ -39,7 +48,7 @@ func TestExportLassoFixture(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "goffgratch.json")
+	path := filepath.Join(dir, strings.ToLower(sc.Name())+".json")
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"github.com/climate-rca/rca/internal/corpus"
 	"github.com/climate-rca/rca/internal/lasso"
 )
 
@@ -52,36 +54,49 @@ func selectionDesign(t *testing.T, s *Session, sc Scenario) (lasso.Problem, []st
 // catalog scenario: the coordinate-screened SelectK and the dense
 // from-zero SelectKReference must agree bit-for-bit on the ranked
 // selection, the tuned lambda, the fitted weights and intercept, the
-// iteration count and the path statistics.
+// iteration count and the path statistics. Three corpus seeds give
+// design widths d = 31, 34 and 36 (remainders 3, 2 and 0 of the
+// engine's four-column gradient blocking); along each path the live
+// and screened column lists the blocking runs over take every other
+// length too.
 func TestLassoCDMatchesReferenceOnCatalog(t *testing.T) {
-	s := testSession()
-	for _, sc := range catalog {
-		p, _, k := selectionDesign(t, s, sc)
-		cdSel, cdRes, cdSt, err := lasso.SelectK(p, k, 1500)
-		if err != nil {
-			t.Fatalf("%s: cd: %v", sc.Name(), err)
+	for _, seed := range []uint64{2, 17, 12345} {
+		s := NewSession(corpus.Config{AuxModules: 40, Seed: seed}, WithEnsembleSize(30), WithExpSize(8))
+		for _, sc := range catalog {
+			label := fmt.Sprintf("seed %d %s", seed, sc.Name())
+			p, _, k := selectionDesign(t, s, sc)
+			t.Logf("%s: n=%d d=%d", label, p.N, p.D)
+			lassoMatchesReference(t, label, p, k)
 		}
-		refSel, refRes, refSt, err := lasso.SelectKReference(p, k, 1500)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", sc.Name(), err)
-		}
-		if !reflect.DeepEqual(cdSel, refSel) {
-			t.Fatalf("%s: selection differs: cd %v reference %v", sc.Name(), cdSel, refSel)
-		}
-		if cdSt != refSt {
-			t.Fatalf("%s: path stats differ: cd %+v reference %+v", sc.Name(), cdSt, refSt)
-		}
-		if math.Float64bits(cdRes.Lambda) != math.Float64bits(refRes.Lambda) ||
-			math.Float64bits(cdRes.Intercept) != math.Float64bits(refRes.Intercept) ||
-			cdRes.Iters != refRes.Iters {
-			t.Fatalf("%s: lambda/intercept/iters differ: cd %v/%v/%d reference %v/%v/%d", sc.Name(),
-				cdRes.Lambda, cdRes.Intercept, cdRes.Iters, refRes.Lambda, refRes.Intercept, refRes.Iters)
-		}
-		for j := range cdRes.Weights {
-			if math.Float64bits(cdRes.Weights[j]) != math.Float64bits(refRes.Weights[j]) {
-				t.Fatalf("%s: weight %d differs: cd %v reference %v",
-					sc.Name(), j, cdRes.Weights[j], refRes.Weights[j])
-			}
+	}
+}
+
+func lassoMatchesReference(t *testing.T, label string, p lasso.Problem, k int) {
+	t.Helper()
+	cdSel, cdRes, cdSt, err := lasso.SelectK(p, k, 1500)
+	if err != nil {
+		t.Fatalf("%s: cd: %v", label, err)
+	}
+	refSel, refRes, refSt, err := lasso.SelectKReference(p, k, 1500)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	if !reflect.DeepEqual(cdSel, refSel) {
+		t.Fatalf("%s: selection differs: cd %v reference %v", label, cdSel, refSel)
+	}
+	if cdSt != refSt {
+		t.Fatalf("%s: path stats differ: cd %+v reference %+v", label, cdSt, refSt)
+	}
+	if math.Float64bits(cdRes.Lambda) != math.Float64bits(refRes.Lambda) ||
+		math.Float64bits(cdRes.Intercept) != math.Float64bits(refRes.Intercept) ||
+		cdRes.Iters != refRes.Iters {
+		t.Fatalf("%s: lambda/intercept/iters differ: cd %v/%v/%d reference %v/%v/%d", label,
+			cdRes.Lambda, cdRes.Intercept, cdRes.Iters, refRes.Lambda, refRes.Intercept, refRes.Iters)
+	}
+	for j := range cdRes.Weights {
+		if math.Float64bits(cdRes.Weights[j]) != math.Float64bits(refRes.Weights[j]) {
+			t.Fatalf("%s: weight %d differs: cd %v reference %v",
+				label, j, cdRes.Weights[j], refRes.Weights[j])
 		}
 	}
 }

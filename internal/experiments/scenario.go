@@ -124,13 +124,20 @@ func (p *plan) buildKey() string {
 	return p.sourceKey() + "|" + joinIDs(p.runIDs)
 }
 
+// selectKey fingerprints the §3 variable selection: the build (it
+// fixes the verdict's experimental runs and the first-step comparison)
+// plus the lasso target k. Slicing options and defect sites play no
+// part, so AVX2 and AVX2-FULL share one selection.
+func (p *plan) selectKey() string {
+	return fmt.Sprintf("%s|k=%d", p.buildKey(), p.scenario.Options().SelectK)
+}
+
 // scenarioKey fingerprints a full investigation: the build, the
 // defect-site overrides (they steer slicing's success check but not
 // the build, so they live in this layer only), and the slicing
-// options. Selections, slices and refinements are cached per
-// scenarioKey; the scenario's display name deliberately does not
-// participate, so renamed but identical scenarios share all cached
-// stages.
+// options. Slices and refinements are cached per scenarioKey; the
+// scenario's display name deliberately does not participate, so
+// renamed but identical scenarios share all cached stages.
 func (p *plan) scenarioKey() string {
 	o := p.scenario.Options()
 	return fmt.Sprintf("%s|%s|cam=%v;k=%d", p.buildKey(), joinIDs(p.siteIDs), o.CAMOnly, o.SelectK)

@@ -63,7 +63,7 @@ type Session struct {
 	runners    map[string]*cell[*model.Runner] // per source fingerprint
 	compiled   map[string]*cell[*Compiled]     // per build fingerprint
 	verdicts   map[string]*cell[*Verdict]      // per build fingerprint
-	selections map[string]*cell[*Selection]    // per scenario fingerprint
+	selections map[string]*cell[*Selection]    // per build fingerprint and k
 	slices     map[string]*cell[*Sliced]
 	refined    map[string]*cell[*core.Result]
 }
@@ -504,6 +504,9 @@ func (s *Session) Verdict(ctx context.Context, sc Scenario) (*Verdict, error) {
 
 // SelectVariables applies the §3 variable selection to the scenario's
 // verdict (first-step comparison, then lasso/median distances).
+// Selections are cached per build fingerprint and lasso target k —
+// slicing options play no part, so AVX2 and AVX2-FULL share one
+// lasso path search.
 func (s *Session) SelectVariables(ctx context.Context, sc Scenario) (*Selection, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -512,7 +515,7 @@ func (s *Session) SelectVariables(ctx context.Context, sc Scenario) (*Selection,
 	if err != nil {
 		return nil, err
 	}
-	c := keyedCell(&s.mu, s.selections, p.scenarioKey())
+	c := keyedCell(&s.mu, s.selections, p.selectKey())
 	return c.get(ctx, func() (*Selection, error) {
 		v, err := s.Verdict(ctx, sc)
 		if err != nil {
@@ -746,11 +749,11 @@ func (s *Session) ExperimentalOutputs(ctx context.Context, sc Scenario, n, offse
 //	           scenarios sharing it share a parsed corpus build.
 //	Build    — Source plus run-configuration injections (PRNG, FMA);
 //	           scenarios sharing it share a verdict and a compiled
-//	           metagraph.
+//	           metagraph, and those that also share SelectK share a
+//	           variable selection.
 //	Scenario — Build plus defect-site overrides and slicing options;
-//	           scenarios sharing it share selections, slices,
-//	           refinements — whole outcomes. Display names do not
-//	           participate.
+//	           scenarios sharing it share slices and refinements —
+//	           whole outcomes. Display names do not participate.
 type Keys struct {
 	Source   string
 	Build    string

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -39,12 +40,15 @@ func BenchmarkSelectK(b *testing.B) {
 	}
 }
 
-// catalogProblem loads the real GOFFGRATCH selection design exported
-// from internal/experiments (see TestExportLassoFixture there): the
-// exact (X, y) the §3 selection stage hands the lasso, with the small
-// true support and near-duplicate columns the synthetic design lacks.
-func catalogProblem(tb testing.TB) (Problem, int) {
-	buf, err := os.ReadFile("testdata/goffgratch.json")
+// catalogProblem loads a real catalog selection design exported from
+// internal/experiments (see TestExportLassoFixture there): the exact
+// (X, y) the §3 selection stage hands the lasso. goffgratch.json has a
+// small support and near-duplicate columns the synthetic design lacks;
+// dyn3bug.json has a dense support (most coefficients nonzero, frequent
+// screen refreshes), where the per-row work of every iteration
+// dominates.
+func catalogProblem(tb testing.TB, fixture string) (Problem, int) {
+	buf, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
 		tb.Fatalf("catalog fixture (regenerate with RCA_EXPORT_FIXTURE=1 go test ./internal/experiments -run TestExportLassoFixture): %v", err)
 	}
@@ -58,8 +62,8 @@ func catalogProblem(tb testing.TB) (Problem, int) {
 	return Problem{X: fix.X, Y: fix.Y, N: fix.N, D: fix.D}, fix.K
 }
 
-func benchSelectK(b *testing.B, selectK func(Problem, int, int) ([]int, *Result, PathStats, error)) {
-	p, k := catalogProblem(b)
+func benchSelectK(b *testing.B, fixture string, selectK func(Problem, int, int) ([]int, *Result, PathStats, error)) {
+	p, k := catalogProblem(b, fixture)
 	b.ReportAllocs()
 	var iters int
 	start := time.Now()
@@ -75,9 +79,14 @@ func benchSelectK(b *testing.B, selectK func(Problem, int, int) ([]int, *Result,
 }
 
 // BenchmarkSelectKCD times the production engine and
-// BenchmarkSelectKISTA the dense reference oracle on the same design.
-func BenchmarkSelectKCD(b *testing.B)   { benchSelectK(b, SelectK) }
-func BenchmarkSelectKISTA(b *testing.B) { benchSelectK(b, SelectKReference) }
+// BenchmarkSelectKISTA the dense reference oracle on the sparse-support
+// GOFFGRATCH design; the Dense pair does the same on the dense-support
+// DYN3BUG design, where CI gates the engine to run faster than its
+// oracle.
+func BenchmarkSelectKCD(b *testing.B)        { benchSelectK(b, "goffgratch.json", SelectK) }
+func BenchmarkSelectKISTA(b *testing.B)      { benchSelectK(b, "goffgratch.json", SelectKReference) }
+func BenchmarkSelectKCDDense(b *testing.B)   { benchSelectK(b, "dyn3bug.json", SelectK) }
+func BenchmarkSelectKISTADense(b *testing.B) { benchSelectK(b, "dyn3bug.json", SelectKReference) }
 
 // TestSparseDotMatchesDense pins the bit-identity of the sparse-dot
 // fast path against a dense reference fit.

@@ -14,64 +14,49 @@ import "math"
 // bit-identical to the dense loop's.
 
 // cdPath is the per-SelectK state the screened engine shares across
-// every bisection probe: the hoisted design scans, the shared
+// every bisection probe: a column-major copy of the design, the shared
 // pure-intercept prefix cache, and the column l2 norms the screening
 // bound consumes — all lambda-independent, paid once per path.
 type cdPath struct {
 	ds      *design
 	pc      *pathCache
+	zt      []float64 // zt[j*n+i] = z[i*d+j]: column j is contiguous
 	colNorm []float64 // ‖z_j‖₂, the Cauchy–Schwarz column factors
 
 	// Scratch reused across probes (the path runs on one goroutine).
-	grad    []float64 // full-gradient scratch for refresh passes
-	gradRef []float64 // full gradient at the last refresh
+	grad    []float64 // live entries every iteration, the rest at refreshes
 	budget  []float64 // per-screened-coordinate drift allowance
+	dots    []float64 // per-row w·z_i, accumulated column by column
 	r, rref []float64 // residuals: current iterate / last refresh
-	live    []int     // coordinates whose gradient is tracked exactly
-	state   []int8    // cdScreened / cdLive per coordinate
-
-	// Packed panels: gathering strided z columns per row is what ate
-	// the screening win, so the live columns are copied into a
-	// contiguous n×|live| panel at each refresh (lz, accumulating into
-	// lg), and the active columns into n×|nzCols| (az, with weights
-	// packed into aw each iteration) whenever the support set changes.
-	// Packing changes neither the multiplicands nor the accumulation
-	// order, so every emitted float is unchanged.
-	lz, lg []float64
-	az, aw []float64
-	nzCols []int
+	// live and screened partition the coordinates: live gradient
+	// entries are computed every iteration, screened ones only at a
+	// refresh.
+	live, screened []int
 }
 
-const (
-	cdScreened int8 = iota
-	cdLive
-)
-
 func newCDPath(ds *design) *cdPath {
+	n, d := ds.n, ds.d
 	c := &cdPath{
-		ds:      ds,
-		pc:      newPathCache(ds),
-		colNorm: make([]float64, ds.d),
-		grad:    make([]float64, ds.d),
-		gradRef: make([]float64, ds.d),
-		budget:  make([]float64, ds.d),
-		r:       make([]float64, ds.n),
-		rref:    make([]float64, ds.n),
-		live:    make([]int, 0, ds.d),
-		state:   make([]int8, ds.d),
-		lz:      make([]float64, 0, ds.n*ds.d),
-		lg:      make([]float64, 0, ds.d),
-		az:      make([]float64, 0, ds.n*ds.d),
-		aw:      make([]float64, 0, ds.d),
-		nzCols:  make([]int, 0, ds.d),
+		ds:       ds,
+		pc:       newPathCache(ds),
+		zt:       make([]float64, n*d),
+		colNorm:  make([]float64, d),
+		grad:     make([]float64, d),
+		budget:   make([]float64, d),
+		dots:     make([]float64, n),
+		r:        make([]float64, n),
+		rref:     make([]float64, n),
+		live:     make([]int, 0, d),
+		screened: make([]int, d),
 	}
-	for i := 0; i < ds.n; i++ {
-		row := ds.z[i*ds.d : (i+1)*ds.d]
-		for j, v := range row {
-			c.colNorm[j] += v * v
+	for j := 0; j < d; j++ {
+		c.screened[j] = j
+		col := c.zt[j*n : j*n+n]
+		var s float64
+		for i := range col {
+			col[i] = ds.z[i*d+j]
+			s += col[i] * col[i]
 		}
-	}
-	for j, s := range c.colNorm {
 		c.colNorm[j] = math.Sqrt(s)
 	}
 	return c
@@ -87,8 +72,8 @@ func (c *cdPath) fit(lambda float64, maxIter int, tol float64) *Result {
 	return c.screenedFrom(lambda, maxIter, tol, w, nb, t+1)
 }
 
-// screenThreshold is the inactivity certificate for coordinate j: a
-// zero weight's proximal update softThreshold(−step·grad_j/n, step·λ)
+// screenSafety is the margin on coordinate j's inactivity certificate:
+// a zero weight's proximal update softThreshold(−step·grad_j/n, step·λ)
 // is exactly zero whenever |grad_j| ≤ n·λ (the float expression is a
 // monotone image of that comparison). The screen certifies the real
 // quantity with margin to spare for the float error of an O(n)
@@ -97,50 +82,60 @@ func screenSafety(n int, lambda float64) float64 {
 	return 1e-9*float64(n)*lambda + 1e-10*float64(n)
 }
 
-// refresh recomputes the exact full gradient from the stored residuals
-// (bit-identical to the dense loop: each grad[j] accumulates resid·z
-// in row order, an independent accumulator per column), then rebuilds
-// the screen: every zero-weight coordinate with slack against n·λ is
+// colDots sets grad[j] = Σ_i r_i·z_ij for every j in cols, four
+// columns at a time. Each accumulator runs in row order, exactly the
+// dense loop's per-column accumulation, so blocking reorders nothing;
+// the four independent chains only let the CPU overlap them.
+func (c *cdPath) colDots(cols []int) {
+	n, r, g := c.ds.n, c.r, c.grad
+	k := 0
+	for ; k+4 <= len(cols); k += 4 {
+		j0, j1, j2, j3 := cols[k], cols[k+1], cols[k+2], cols[k+3]
+		z0 := c.zt[j0*n : j0*n+n][:len(r)]
+		z1 := c.zt[j1*n : j1*n+n][:len(r)]
+		z2 := c.zt[j2*n : j2*n+n][:len(r)]
+		z3 := c.zt[j3*n : j3*n+n][:len(r)]
+		var g0, g1, g2, g3 float64
+		for i, ri := range r {
+			g0 += ri * z0[i]
+			g1 += ri * z1[i]
+			g2 += ri * z2[i]
+			g3 += ri * z3[i]
+		}
+		g[j0], g[j1], g[j2], g[j3] = g0, g1, g2, g3
+	}
+	for ; k < len(cols); k++ {
+		j := cols[k]
+		zj := c.zt[j*n : j*n+n][:len(r)]
+		var gj float64
+		for i, ri := range r {
+			gj += ri * zj[i]
+		}
+		g[j] = gj
+	}
+}
+
+// refresh completes the exact full gradient from the stored residuals
+// (the live entries were just computed by the iteration's gradient
+// pass; the screened ones are computed here), then rebuilds the
+// screen: every zero-weight coordinate with slack against n·λ is
 // screened with a drift budget of slack/‖z_j‖; active and
 // near-threshold coordinates stay live. Returns the minimum budget —
 // the residual-drift radius within which every screened certificate
 // remains valid.
 func (c *cdPath) refresh(w []float64, lambda float64) (ddrLimit float64) {
-	ds := c.ds
-	n, d := ds.n, ds.d
-	for j := 0; j < d; j++ {
-		c.grad[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		resid := c.r[i]
-		row := ds.z[i*d : (i+1)*d]
-		gr := c.grad
-		if len(gr) > len(row) {
-			gr = gr[:len(row)]
-		}
-		j := 0
-		for ; j+4 <= len(row) && j+4 <= len(gr); j += 4 {
-			gr[j] += resid * row[j]
-			gr[j+1] += resid * row[j+1]
-			gr[j+2] += resid * row[j+2]
-			gr[j+3] += resid * row[j+3]
-		}
-		for ; j < len(row); j++ {
-			gr[j] += resid * row[j]
-		}
-	}
-	copy(c.gradRef, c.grad)
+	c.colDots(c.screened)
 	copy(c.rref, c.r)
 
-	nLam := float64(n) * lambda
-	safety := screenSafety(n, lambda)
+	nLam := float64(c.ds.n) * lambda
+	safety := screenSafety(c.ds.n, lambda)
 	ddrLimit = math.Inf(1)
-	c.live = c.live[:0]
-	for j := 0; j < d; j++ {
-		if w[j] == 0 {
-			slack := nLam - math.Abs(c.gradRef[j]) - safety
+	c.live, c.screened = c.live[:0], c.screened[:0]
+	for j, wj := range w {
+		if wj == 0 {
+			slack := nLam - math.Abs(c.grad[j]) - safety
 			if slack > 0 && c.colNorm[j] > 0 {
-				c.state[j] = cdScreened
+				c.screened = append(c.screened, j)
 				c.budget[j] = slack / c.colNorm[j]
 				if c.budget[j] < ddrLimit {
 					ddrLimit = c.budget[j]
@@ -148,24 +143,7 @@ func (c *cdPath) refresh(w []float64, lambda float64) (ddrLimit float64) {
 				continue
 			}
 		}
-		c.state[j] = cdLive
 		c.live = append(c.live, j)
-	}
-
-	// Pack the live columns into a contiguous panel and seed the packed
-	// gradient accumulators with the exact entries just computed.
-	nl := len(c.live)
-	c.lz = c.lz[:n*nl]
-	c.lg = c.lg[:nl]
-	for jj, j := range c.live {
-		c.lg[jj] = c.grad[j]
-	}
-	for i := 0; i < n; i++ {
-		row := ds.z[i*d : (i+1)*d]
-		lrow := c.lz[i*nl : i*nl+nl]
-		for jj, j := range c.live {
-			lrow[jj] = row[j]
-		}
 	}
 	return ddrLimit
 }
@@ -181,97 +159,52 @@ func (c *cdPath) refresh(w []float64, lambda float64) (ddrLimit float64) {
 // whenever the smallest budget is exceeded.
 func (c *cdPath) screenedFrom(lambda float64, maxIter int, tol float64, w []float64, b float64, start int) *Result {
 	ds := c.ds
-	z, y, n, d := ds.z, ds.y, ds.n, ds.d
+	n, y := ds.n, ds.y[:ds.n]
 	step, inv := ds.step, ds.inv
-	nz := make([]int, 0, d)
+	dots, r, rref := c.dots[:n], c.r[:n], c.rref[:n]
 	ddrLimit := -1.0 // force a refresh on the first iteration
 	var iters int
 	for iters = start; iters < maxIter; iters++ {
-		// Active-set maintenance: the packed dot panel is rebuilt only
-		// when the support set changes (rare between consecutive
-		// iterations); the packed weights track every iteration.
-		nz = nz[:0]
-		for j, wj := range w {
-			if wj != 0 {
-				nz = append(nz, j)
-			}
+		// Dots pass, column-major: each row still sums w_j·z_ij in j
+		// order from +0 and then adds b, exactly as the dense loop
+		// does. Skipping a +0 weight skips a signed-zero product,
+		// which leaves every finite accumulator unchanged (the engine
+		// only runs on finite designs).
+		for i := range dots {
+			dots[i] = 0
 		}
-		sparse := len(nz)*2 < d
-		na := len(nz)
-		if sparse {
-			if !intsEqual(nz, c.nzCols) {
-				c.nzCols = append(c.nzCols[:0], nz...)
-				c.az = c.az[:n*na]
-				for jj, j := range nz {
-					for i := 0; i < n; i++ {
-						c.az[i*na+jj] = z[i*d+j]
-					}
-				}
+		for j, wj := range w {
+			if wj == 0 {
+				continue
 			}
-			c.aw = c.aw[:na]
-			for jj, j := range nz {
-				c.aw[jj] = w[j]
+			zj := c.zt[j*n : j*n+n][:len(dots)]
+			for i := range dots {
+				dots[i] += wj * zj[i]
 			}
 		}
 
-		// Residual pass: identical to the dense loop's per-row dot,
-		// deduplicated sigmoid and residual arithmetic, with the live
-		// coordinates' gradient entries accumulated in the same row
-		// order the dense loop uses (each is an independent
-		// accumulator, so restricting the column set reorders nothing,
-		// and the packed panels change neither multiplicands nor
-		// order). Residuals are stored for a possible refresh; the
-		// drift norm against the refresh point rides the same pass.
-		nl := len(c.live)
-		lg := c.lg
-		for jj := range lg {
-			lg[jj] = 0
-		}
+		// Residual pass: independent sigmoids, one per row, so their
+		// exp latencies overlap. Residuals are stored for the gradient
+		// pass and a possible refresh; the drift norm against the
+		// refresh point and the intercept gradient ride along.
 		var gradB, drift float64
-		lastDot := math.NaN()
-		var lastSig float64
-		for i := 0; i < n; i++ {
-			var dot float64
-			if sparse {
-				arow := c.az[i*na : i*na+na]
-				for jj, v := range arow {
-					dot += c.aw[jj] * v
-				}
-			} else {
-				row := z[i*d : (i+1)*d]
-				wr := w
-				if len(wr) > len(row) {
-					wr = wr[:len(row)]
-				}
-				for j, wv := range wr {
-					dot += wv * row[j]
-				}
-			}
-			dot += b
-			sig := lastSig
-			if dot != lastDot {
-				sig = sigmoid(dot)
-				lastDot, lastSig = dot, sig
-			}
-			resid := sig - y[i]
-			c.r[i] = resid
-			dr := resid - c.rref[i]
+		for i, dot := range dots {
+			resid := sigmoid(dot+b) - y[i]
+			r[i] = resid
+			dr := resid - rref[i]
 			drift += dr * dr
-			lrow := c.lz[i*nl : i*nl+nl]
-			for jj, v := range lrow {
-				lg[jj] += resid * v
-			}
 			gradB += resid
 		}
+
+		// Gradient pass over the live coordinates only.
+		c.colDots(c.live)
 
 		// Screen maintenance: the certificates cover any iterate whose
 		// residual drift from the refresh point stays inside the
 		// smallest budget (Cauchy–Schwarz: |Δgrad_j| ≤ ‖Δr‖·‖z_j‖).
 		// The drift norm is measured conservatively; past the limit the
-		// refresh recomputes every gradient entry exactly — the full
-		// KKT pass that keeps screening safe. A refresh recomputes the
-		// live entries too, to the same bits the fused pass just
-		// produced.
+		// refresh computes every remaining gradient entry exactly — the
+		// full KKT pass that keeps screening safe.
 		if ddrLimit >= 0 && !math.IsInf(ddrLimit, 1) {
 			if math.Sqrt(drift)*(1+1e-9) >= ddrLimit {
 				ddrLimit = -1
@@ -285,8 +218,8 @@ func (c *cdPath) screenedFrom(lambda float64, maxIter int, tol float64, w []floa
 		// coordinate's update is certified to be exactly zero, so it
 		// contributes nothing to the iterate or to maxDelta.
 		var maxDelta float64
-		for jj, j := range c.live {
-			nw := softThreshold(w[j]-step*c.lg[jj]*inv, step*lambda)
+		for _, j := range c.live {
+			nw := softThreshold(w[j]-step*c.grad[j]*inv, step*lambda)
 			if dd := math.Abs(nw - w[j]); dd > maxDelta {
 				maxDelta = dd
 			}
@@ -302,16 +235,4 @@ func (c *cdPath) screenedFrom(lambda float64, maxIter int, tol float64, w []floa
 		}
 	}
 	return &Result{Weights: w, Intercept: b, Lambda: lambda, Iters: iters}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

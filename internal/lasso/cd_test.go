@@ -124,26 +124,29 @@ func TestSolverCDBitIdentical(t *testing.T) {
 }
 
 // TestSolverCDBitIdenticalCatalog runs the same differential on the
-// real GOFFGRATCH catalog design (numerically degenerate: flat KKT
-// valley, near-duplicate columns, truncation-limited fits) — the
-// problem class the pipeline actually feeds the lasso.
+// real exported catalog designs: GOFFGRATCH (numerically degenerate:
+// flat KKT valley, near-duplicate columns, truncation-limited fits)
+// and DYN3BUG (dense support, frequent screen refreshes) — the problem
+// class the pipeline actually feeds the lasso.
 func TestSolverCDBitIdenticalCatalog(t *testing.T) {
-	p, k := catalogProblem(t)
-	istaSel, istaRes, istaSt, err := SelectKReference(p, k, 1500)
-	if err != nil {
-		t.Fatal(err)
+	for _, fixture := range []string{"goffgratch.json", "dyn3bug.json"} {
+		p, k := catalogProblem(t, fixture)
+		istaSel, istaRes, istaSt, err := SelectKReference(p, k, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdSel, cdRes, cdSt, err := SelectK(p, k, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(istaSel, cdSel) {
+			t.Fatalf("%s: selections differ: ista %v cd %v", fixture, istaSel, cdSel)
+		}
+		if istaSt != cdSt {
+			t.Fatalf("%s: path stats differ: ista %+v cd %+v", fixture, istaSt, cdSt)
+		}
+		requireSameFit(t, fixture, istaRes, cdRes)
 	}
-	cdSel, cdRes, cdSt, err := SelectK(p, k, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(istaSel, cdSel) {
-		t.Fatalf("selections differ: ista %v cd %v", istaSel, cdSel)
-	}
-	if istaSt != cdSt {
-		t.Fatalf("path stats differ: ista %+v cd %+v", istaSt, cdSt)
-	}
-	requireSameFit(t, "catalog", istaRes, cdRes)
 }
 
 // FuzzLassoSolvers is the differential fuzzer for the screened engine

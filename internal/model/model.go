@@ -23,6 +23,7 @@ import (
 	"github.com/climate-rca/rca/internal/ect"
 	"github.com/climate-rca/rca/internal/fortran"
 	"github.com/climate-rca/rca/internal/interp"
+	"github.com/climate-rca/rca/internal/lru"
 	"github.com/climate-rca/rca/internal/rng"
 )
 
@@ -158,18 +159,17 @@ func (r *Runner) Engine() EngineKind {
 // instead of recompiling. Programs are immutable, so sharing is safe.
 // Each entry retains the module pointers its key was built from —
 // that keeps every keyed address alive, so a recycled allocation can
-// never alias a stored key.
+// never alias a stored key. The cache is an LRU bound, so a
+// long-lived process sheds the programs of corpora it stopped using;
+// an evicted program is simply compiled again on next use.
 type progEntry struct {
 	mods []*fortran.Module
 	prog *bytecode.Program
 }
 
-var (
-	progCache     sync.Map // module-pointer key → *progEntry
-	progCacheSize atomic.Int64
-)
+var progCache = lru.New[string, *progEntry](progCacheMax)
 
-const progCacheMax = 128
+const progCacheMax = 32
 
 func progKey(mods []*fortran.Module) string {
 	var b strings.Builder
@@ -192,22 +192,22 @@ func (r *Runner) Program() *bytecode.Program {
 		return r.prog
 	}
 	key := progKey(r.Modules)
-	if v, ok := progCache.Load(key); ok {
+	if e, ok := progCache.Get(key); ok {
 		r.hits.Add(1)
-		r.prog = v.(*progEntry).prog
+		r.prog = e.prog
 		return r.prog
 	}
 	r.misses.Add(1)
-	r.prog = bytecode.Compile(r.Modules)
-	if progCacheSize.Load() < progCacheMax {
-		e := &progEntry{mods: append([]*fortran.Module(nil), r.Modules...), prog: r.prog}
-		if v, loaded := progCache.LoadOrStore(key, e); loaded {
-			r.prog = v.(*progEntry).prog
-		} else {
-			progCacheSize.Add(1)
-		}
-	}
+	r.prog = r.shareProgram(key, bytecode.Compile(r.Modules))
 	return r.prog
+}
+
+// shareProgram registers p in the process-global cache under key and
+// returns the program the cache holds for it (p, or one a concurrent
+// sibling registered first).
+func (r *Runner) shareProgram(key string, p *bytecode.Program) *bytecode.Program {
+	e := &progEntry{mods: append([]*fortran.Module(nil), r.Modules...), prog: p}
+	return progCache.Add(key, e).prog
 }
 
 // SetProgram installs a precompiled program (typically decoded from
@@ -226,16 +226,7 @@ func (r *Runner) SetProgram(p *bytecode.Program) {
 	if r.prog != nil {
 		return
 	}
-	r.prog = p
-	if progCacheSize.Load() < progCacheMax {
-		key := progKey(r.Modules)
-		e := &progEntry{mods: append([]*fortran.Module(nil), r.Modules...), prog: p}
-		if v, loaded := progCache.LoadOrStore(key, e); loaded {
-			r.prog = v.(*progEntry).prog
-		} else {
-			progCacheSize.Add(1)
-		}
-	}
+	r.prog = r.shareProgram(progKey(r.Modules), p)
 }
 
 // CompileStats reports program-cache hits and misses (rcad's /metrics

@@ -188,7 +188,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
-	out, ok := s.store.get(r.PathValue("fingerprint"))
+	out, ok := s.store.Get(r.PathValue("fingerprint"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no stored outcome for this fingerprint")
 		return
@@ -353,7 +353,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	lfits, liters := s.session.LassoStats()
 	ls := lassoStats{Fits: lfits, Iters: liters}
-	s.m.write(w, s.session.Engine(), len(s.queue), s.store.len(), s.inflight(), hits, misses, ls, as, rs)
+	s.m.write(w, s.session.Engine(), len(s.queue), s.store.Len(), s.inflight(), hits, misses, ls, as, rs)
 }
 
 // deadLettered looks an id up in the shared queue's dead-letter

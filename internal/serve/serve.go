@@ -35,6 +35,7 @@ import (
 	rca "github.com/climate-rca/rca"
 	"github.com/climate-rca/rca/internal/artifact"
 	"github.com/climate-rca/rca/internal/fault"
+	"github.com/climate-rca/rca/internal/lru"
 )
 
 // Config sizes a Server.
@@ -132,7 +133,7 @@ func hashKeys(k rca.ScenarioKeys) keyView {
 // bounded queue, worker pool and outcome store around one Session.
 type Server struct {
 	session *rca.Session
-	store   *store
+	store   *lru.Cache[string, *Outcome] // completed outcomes by scenario key
 	hook    func(string)
 	queue   chan *flight
 	base    context.Context
@@ -230,7 +231,7 @@ func New(cfg Config) *Server {
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
 		session:      cfg.Session,
-		store:        newStore(cfg.StoreSize),
+		store:        lru.New[string, *Outcome](cfg.StoreSize),
 		hook:         cfg.RunHook,
 		queue:        make(chan *flight, cfg.QueueSize),
 		base:         base,
@@ -341,13 +342,13 @@ func (s *Server) submit(sc rca.Scenario) (*job, error) {
 
 	// The in-memory LRU wins over the disk copy (it is the same
 	// outcome); a disk-only hit is promoted into the LRU.
-	if _, ok := s.store.get(kv.Scenario); !ok && disk != nil {
-		s.store.put(kv.Scenario, disk)
+	if _, ok := s.store.Get(kv.Scenario); !ok && disk != nil {
+		s.store.Put(kv.Scenario, disk)
 	}
 
 	// Whole-outcome sharing: a stored outcome completes the job
 	// without queueing anything.
-	if out, ok := s.store.get(kv.Scenario); ok {
+	if out, ok := s.store.Get(kv.Scenario); ok {
 		j := newJob(s.newJobID(), sc.Name(), kv, nil, s)
 		j.finish(StateDone, out, nil)
 		s.registerJob(j)
@@ -610,7 +611,7 @@ func (s *Server) persistOutcome(key string, out *Outcome, release func()) {
 func (s *Server) finishFlight(fl *flight, out *Outcome, err error) {
 	s.mu.Lock()
 	if out != nil {
-		s.store.put(fl.key, out)
+		s.store.Put(fl.key, out)
 	}
 	// Identity check: a dead flight may already have been replaced in
 	// the table by a fresh execution of the same scenario.

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-	"time"
-)
+import "time"
 
 // Outcome is the service's rendered result record: what GET
 // /v1/outcomes/{fingerprint} returns and what completed jobs carry.
@@ -17,64 +13,4 @@ type Outcome struct {
 	BugLocated  bool      `json:"bugLocated"`
 	Text        string    `json:"text"`
 	CompletedAt time.Time `json:"completedAt"`
-}
-
-// store is an LRU cache of completed outcomes keyed by scenario
-// fingerprint. Jobs whose fingerprint hits the store complete without
-// queueing; evicted outcomes are simply recomputed (the Session's own
-// stage caches make that cheap while the session lives).
-type store struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List               // front = most recently used
-	items map[string]*list.Element // insertion key → element holding *storeEntry
-}
-
-// storeEntry carries the insertion key alongside the record so
-// eviction is self-contained (the record's Fingerprint field is not
-// trusted to equal the key).
-type storeEntry struct {
-	key string
-	out *Outcome
-}
-
-func newStore(capacity int) *store {
-	return &store{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
-}
-
-// get returns the outcome for a fingerprint, bumping its recency.
-func (s *store) get(key string) (*Outcome, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*storeEntry).out, true
-}
-
-// put inserts or refreshes an outcome, evicting the least recently
-// used entry beyond capacity.
-func (s *store) put(key string, out *Outcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*storeEntry).out = out
-		s.order.MoveToFront(el)
-		return
-	}
-	s.items[key] = s.order.PushFront(&storeEntry{key: key, out: out})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*storeEntry).key)
-	}
-}
-
-// len returns the number of cached outcomes.
-func (s *store) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
 }

@@ -141,6 +141,37 @@ func TestSessionStagesCompose(t *testing.T) {
 	}
 }
 
+// TestSelectionSharedAcrossSlicingOptions pins the select stage's
+// cache key: AVX2 and AVX2-FULL differ only in slicing options, so
+// once AVX2 has run, AVX2-FULL reuses its lasso path search (zero new
+// fits) and still reports exactly what a fresh session reports.
+func TestSelectionSharedAcrossSlicingOptions(t *testing.T) {
+	ctx := context.Background()
+	cfg := CorpusConfig{AuxModules: 30, Seed: 2}
+	session := NewSession(cfg, WithEnsembleSize(20), WithExpSize(5))
+	if _, err := session.Run(ctx, AVX2); err != nil {
+		t.Fatal(err)
+	}
+	fits, iters := session.LassoStats()
+	if fits == 0 {
+		t.Fatal("AVX2 ran no lasso fits; the check below would be vacuous")
+	}
+	shared, err := session.Run(ctx, AVX2Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, it := session.LassoStats(); f != fits || it != iters {
+		t.Fatalf("AVX2-FULL after AVX2 added %d fits, %d iterations; want 0, 0", f-fits, it-iters)
+	}
+	fresh, err := NewSession(cfg, WithEnsembleSize(20), WithExpSize(5)).Run(ctx, AVX2Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := FormatOutcome(shared), FormatOutcome(fresh); got != want {
+		t.Fatalf("shared-selection AVX2-FULL diverges from a fresh session:\n--- shared ---\n%s--- fresh ---\n%s", got, want)
+	}
+}
+
 // TestCompositeScenarioEndToEnd is the acceptance scenario: a
 // user-defined two-defect composite (WSUB + GOFFGRATCH, not in the
 // prewired catalog) runs end to end, carries both defect sites, and a
