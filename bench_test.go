@@ -51,20 +51,6 @@ func BenchmarkPipelineSixSpecsSession(b *testing.B) {
 	b.ReportMetric(float64(iters)/float64(b.N), "lassoiters")
 }
 
-// BenchmarkPipelineSixSpecsSessionUnbatched is the same six-spec
-// session run with batching disabled (WithBatch(1)): every ensemble
-// and experimental member integrates on its own solo VM. The gap to
-// BenchmarkPipelineSixSpecsSession is the lockstep SoA batching win;
-// outputs are pinned bit-identical, so the two benchmarks do exactly
-// the same science.
-func BenchmarkPipelineSixSpecsSessionUnbatched(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := benchSession(WithBatch(1)).RunAll(context.Background(), Experiments()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // runScenario runs sc on a fresh session per iteration, printing the
 // first outcome when print is set.
 func runScenario(b *testing.B, sc Scenario, print bool) *Outcome {

@@ -144,7 +144,7 @@ func main() {
 		return
 	}
 
-	// Validate the sampler and engine up front: a typo should fail
+	// Validate the sampler up front: a typo should fail
 	// here, not ten minutes into an ensemble run.
 	opts, err := sf.Options()
 	if err != nil {

@@ -43,11 +43,3 @@ func BenchmarkNonBacktracking(b *testing.B) {
 		NonBacktracking(g, Options{})
 	}
 }
-
-func BenchmarkBetweenness(b *testing.B) {
-	g := benchGraph(300, 900)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Betweenness(g)
-	}
-}

@@ -1,7 +1,7 @@
 // Package centrality implements the node-importance measures used by the
-// iterative refinement procedure (Milroy et al. §5.2-5.3): degree and
-// eigenvector centrality (including the in-centrality variant used to
-// pick sampling sites), PageRank, betweenness, and the Hashimoto
+// iterative refinement procedure (Milroy et al. §5.2-5.3): in-degree
+// and eigenvector centrality (including the in-centrality variant used
+// to pick sampling sites), PageRank, and the Hashimoto
 // non-backtracking centrality analysed in the paper's supplement §8.1.
 package centrality
 
@@ -35,19 +35,6 @@ func TopK(scores []float64, k int) []Ranked {
 		k = len(rs)
 	}
 	return rs[:k]
-}
-
-// Degree returns total-degree centrality normalized by (n-1).
-func Degree(g *graph.Digraph) []float64 {
-	n := g.NumNodes()
-	out := make([]float64, n)
-	if n <= 1 {
-		return out
-	}
-	for u := 0; u < n; u++ {
-		out[u] = float64(g.Degree(u)) / float64(n-1)
-	}
-	return out
 }
 
 // InDegree returns in-degree centrality normalized by (n-1).
@@ -220,58 +207,4 @@ func PageRank(g *graph.Digraph, d float64, opt Options) []float64 {
 		}
 	}
 	return x
-}
-
-// Betweenness computes Brandes node betweenness centrality on the
-// directed graph (unweighted). Scores are raw path counts (not
-// normalized).
-func Betweenness(g *graph.Digraph) []float64 {
-	n := g.NumNodes()
-	cb := make([]float64, n)
-	// Reusable buffers.
-	dist := make([]int, n)
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	preds := make([][]int32, n)
-	stack := make([]int32, 0, n)
-	queue := make([]int32, 0, n)
-
-	for s := 0; s < n; s++ {
-		stack = stack[:0]
-		queue = queue[:0]
-		for i := 0; i < n; i++ {
-			dist[i] = -1
-			sigma[i] = 0
-			delta[i] = 0
-			preds[i] = preds[i][:0]
-		}
-		dist[s] = 0
-		sigma[s] = 1
-		queue = append(queue, int32(s))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			stack = append(stack, v)
-			for _, w := range g.Out(int(v)) {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-				}
-				if dist[w] == dist[v]+1 {
-					sigma[w] += sigma[v]
-					preds[w] = append(preds[w], v)
-				}
-			}
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			w := stack[i]
-			for _, v := range preds[w] {
-				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-			}
-			if int(w) != s {
-				cb[w] += delta[w]
-			}
-		}
-	}
-	return cb
 }

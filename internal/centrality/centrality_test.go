@@ -28,17 +28,6 @@ func cycle(n int) *graph.Digraph {
 	return g
 }
 
-func TestDegree(t *testing.T) {
-	g := star(5)
-	d := Degree(g)
-	if d[0] != 1.0 { // degree 4 / (n-1)=4
-		t.Fatalf("hub degree centrality = %v; want 1", d[0])
-	}
-	if d[1] != 0.25 {
-		t.Fatalf("spoke = %v; want 0.25", d[1])
-	}
-}
-
 func TestInDegree(t *testing.T) {
 	g := star(5)
 	d := InDegree(g)
@@ -132,21 +121,6 @@ func TestPageRankSinkGetsMass(t *testing.T) {
 	}
 }
 
-func TestBetweennessPath(t *testing.T) {
-	// Path 0->1->2: only node 1 lies between.
-	g := graph.New(3)
-	g.AddNodes(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	b := Betweenness(g)
-	if b[1] != 1 {
-		t.Fatalf("b[1] = %v; want 1", b[1])
-	}
-	if b[0] != 0 || b[2] != 0 {
-		t.Fatalf("endpoints nonzero: %v", b)
-	}
-}
-
 func TestNonBacktrackingCycle(t *testing.T) {
 	// A symmetric cycle supports non-backtracking walks; scores should
 	// be uniform and positive.
@@ -205,7 +179,6 @@ func TestCentralityNonNegativeProperty(t *testing.T) {
 			EigenvectorIn(g, Options{}),
 			Eigenvector(g, Options{}),
 			PageRank(g, 0.85, Options{}),
-			Betweenness(g),
 			NonBacktracking(g.Undirected(), Options{}),
 		} {
 			for _, s := range scores {

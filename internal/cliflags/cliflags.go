@@ -1,8 +1,7 @@
 // Package cliflags binds the Session flags the rca and rcad commands
-// share — corpus and ensemble sizing, the refinement sampler, the
-// execution engine, parallelism, batching and the fault plane — and
-// turns them into rca options, so both commands accept and validate
-// the same values.
+// share — corpus and ensemble sizing, the refinement sampler,
+// parallelism and the fault plane — and turns them into rca options,
+// so both commands accept and validate the same values.
 package cliflags
 
 import (
@@ -23,8 +22,6 @@ type SessionFlags struct {
 	Runs      int
 	Sampler   string
 	Parallel  int
-	Batch     int
-	Engine    string
 	Faults    string
 	FaultSeed uint64
 }
@@ -39,8 +36,6 @@ func Bind(fs *flag.FlagSet) *SessionFlags {
 	fs.IntVar(&s.Runs, "runs", 10, "experimental run count")
 	fs.StringVar(&s.Sampler, "sampler", "value", "refinement sampler: value (runtime snapshots) | reach (reachability simulation) | graded (magnitude-ranked, §6.3 extension)")
 	fs.IntVar(&s.Parallel, "parallel", 0, "worker pool per investigation: ensemble members and graph kernels (0 = GOMAXPROCS); results are identical at every setting")
-	fs.IntVar(&s.Batch, "batch", 0, "members per batched lockstep VM (0 = default 8, 1 = solo VMs); results are bit-identical at every width")
-	fs.StringVar(&s.Engine, "engine", "bytecode", "execution engine: bytecode (compiled register VM, default) | tree (AST-walking oracle); outputs are bit-identical")
 	fs.StringVar(&s.Faults, "faults", os.Getenv("RCAD_FAULTS"), "deterministic fault-injection spec, e.g. 'artifact.put:eio@0.1;worker.exec:crash@after=2' (default $RCAD_FAULTS; see DESIGN.md 'Failure model')")
 	fs.Uint64Var(&s.FaultSeed, "fault-seed", defaultFaultSeed(), "fault-injection seed: same spec + seed replays the same fault sequence (default $RCAD_FAULT_SEED or 1)")
 	return s
@@ -65,14 +60,10 @@ func (s *SessionFlags) Corpus() rca.CorpusConfig {
 	return cfg
 }
 
-// Options validates -sampler and -engine and returns the Session
-// options the flags select.
+// Options validates -sampler and returns the Session options the
+// flags select.
 func (s *SessionFlags) Options() ([]rca.Option, error) {
 	sampler, err := parseSampler(s.Sampler)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := rca.ParseEngine(s.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -80,9 +71,7 @@ func (s *SessionFlags) Options() ([]rca.Option, error) {
 		rca.WithEnsembleSize(s.Ensemble),
 		rca.WithExpSize(s.Runs),
 		rca.WithSampler(sampler),
-		rca.WithEngine(engine),
 		rca.WithParallelism(s.Parallel),
-		rca.WithBatch(s.Batch),
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"io"
 	"testing"
 )
 
@@ -23,11 +24,10 @@ func TestOptionsValidatesNames(t *testing.T) {
 		ok   bool
 	}{
 		{nil, true},
-		{[]string{"-sampler", "graded", "-engine", "tree"}, true},
-		{[]string{"-sampler", "reach", "-engine", "bytecode"}, true},
+		{[]string{"-sampler", "graded"}, true},
+		{[]string{"-sampler", "reach"}, true},
 		{[]string{"-sampler", "bogus"}, false},
 		{[]string{"-sampler", ""}, false},
-		{[]string{"-engine", "jit"}, false},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		s := Bind(fs)
@@ -40,6 +40,19 @@ func TestOptionsValidatesNames(t *testing.T) {
 		}
 		if err == nil && len(opts) == 0 {
 			t.Errorf("%q: no options", tc.args)
+		}
+	}
+}
+
+// TestEngineAndBatchAreNotFlags pins that the execution oracles are
+// not selectable: the VM with lockstep batching is the only run path.
+func TestEngineAndBatchAreNotFlags(t *testing.T) {
+	for _, args := range [][]string{{"-engine", "tree"}, {"-batch", "1"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Bind(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%q parsed; want an unknown-flag error", args)
 		}
 	}
 }

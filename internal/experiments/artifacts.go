@@ -80,9 +80,9 @@ func (s *Session) corpusFor(ctx context.Context, key string, cfg corpus.Config, 
 // the store, or compiles and persists it — at most one compile per
 // source fingerprint across every process on the store. Best-effort:
 // any store trouble just leaves the runner to compile lazily as
-// before. Tree-engine sessions never touch program artifacts.
+// before.
 func (s *Session) restoreProgram(ctx context.Context, key string, r *model.Runner) {
-	if s.store == nil || s.engine == model.EngineTree {
+	if s.store == nil {
 		return
 	}
 	data, built, err := s.store.GetOrBuild(ctx, artifact.ClassProgram, key, func() ([]byte, error) {

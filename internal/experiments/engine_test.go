@@ -1,18 +1,21 @@
-package rca
+package experiments_test
 
 import (
 	"context"
 	"testing"
+
+	rca "github.com/climate-rca/rca"
+	"github.com/climate-rca/rca/internal/experiments"
 )
 
-// equivSession builds a small-corpus session on the given engine with
-// an aggressive parallel fan-out, so the equivalence holds under
-// concurrent scheduling too (run with -race in CI).
-func equivSession(engine EngineKind) *Session {
-	return NewSession(CorpusConfig{AuxModules: 16, Seed: 4},
-		WithEnsembleSize(14), WithExpSize(5),
-		WithParallelism(8), WithWorkers(4),
-		WithEngine(engine))
+// equivSession builds a small-corpus session with an aggressive
+// parallel fan-out, so the equivalence holds under concurrent
+// scheduling too (run with -race in CI). Pass experiments.WithTreeEngine
+// for the tree-walking reference.
+func equivSession(opts ...rca.Option) *rca.Session {
+	return rca.NewSession(rca.CorpusConfig{AuxModules: 16, Seed: 4},
+		append([]rca.Option{rca.WithEnsembleSize(14), rca.WithExpSize(5),
+			rca.WithParallelism(8), rca.WithWorkers(4)}, opts...)...)
 }
 
 // TestEnginesBitIdenticalAcrossCatalog is the deterministic-equivalence
@@ -23,13 +26,13 @@ func equivSession(engine EngineKind) *Session {
 // evaluation order), so nothing short of byte equality is acceptable.
 func TestEnginesBitIdenticalAcrossCatalog(t *testing.T) {
 	ctx := context.Background()
-	scs := AllExperiments()
+	scs := rca.AllExperiments()
 
-	tree, err := equivSession(EngineTree).RunAll(ctx, scs)
+	tree, err := equivSession(experiments.WithTreeEngine()).RunAll(ctx, scs)
 	if err != nil {
 		t.Fatalf("tree engine: %v", err)
 	}
-	vm, err := equivSession(EngineBytecode).RunAll(ctx, scs)
+	vm, err := equivSession().RunAll(ctx, scs)
 	if err != nil {
 		t.Fatalf("bytecode engine: %v", err)
 	}
@@ -37,7 +40,7 @@ func TestEnginesBitIdenticalAcrossCatalog(t *testing.T) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(tree), len(vm))
 	}
 	for i := range tree {
-		to, vo := FormatOutcome(tree[i]), FormatOutcome(vm[i])
+		to, vo := rca.FormatOutcome(tree[i]), rca.FormatOutcome(vm[i])
 		if to != vo {
 			t.Errorf("%s: FormatOutcome bytes differ\n--- tree ---\n%s--- bytecode ---\n%s",
 				scs[i].Name(), to, vo)
@@ -52,18 +55,18 @@ func TestEnginesTable1Identical(t *testing.T) {
 		t.Skip("short mode")
 	}
 	ctx := context.Background()
-	setup := Table1Setup{ExpSize: 3, TopK: 4, RandomSamples: 2}
+	setup := rca.Table1Setup{ExpSize: 3, TopK: 4, RandomSamples: 2}
 
-	rowsTree, err := equivSession(EngineTree).Table1(ctx, setup)
+	rowsTree, err := equivSession(experiments.WithTreeEngine()).Table1(ctx, setup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsVM, err := equivSession(EngineBytecode).Table1(ctx, setup)
+	rowsVM, err := equivSession().Table1(ctx, setup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatTable1(rowsTree) != FormatTable1(rowsVM) {
+	if rca.FormatTable1(rowsTree) != rca.FormatTable1(rowsVM) {
 		t.Fatalf("Table1 bytes differ:\n--- tree ---\n%s--- bytecode ---\n%s",
-			FormatTable1(rowsTree), FormatTable1(rowsVM))
+			rca.FormatTable1(rowsTree), rca.FormatTable1(rowsVM))
 	}
 }

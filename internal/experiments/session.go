@@ -42,9 +42,13 @@ type Session struct {
 	refine   core.Options
 	workers  int
 	parallel int
-	batch    int
-	engine   model.EngineKind
+	batch    int             // lockstep width; DefaultBatch outside tests
 	store    *artifact.Store // optional on-disk artifact layer (WithArtifacts)
+
+	// newRunner builds each source fingerprint's model.Runner:
+	// model.NewRunner, or the tree-walking reference in the engine
+	// differential tests.
+	newRunner func(*corpus.Corpus) (*model.Runner, error)
 
 	// lassoFits/lassoIters count §3 selection-stage lasso fits and
 	// their proximal-gradient iterations across the session — the
@@ -184,16 +188,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithEngine selects the execution engine for every integration the
-// session runs: the bytecode register VM (the default — each source
-// fingerprint compiles once, under the same cache layer rcad's
-// singleflight dedup reuses across jobs) or the tree-walking
-// interpreter (the reference oracle). The engines are pinned
-// bit-identical, so this is purely a throughput knob.
-func WithEngine(k model.EngineKind) Option {
-	return func(s *Session) { s.engine = k }
-}
-
 // WithParallelism bounds the worker pool used *inside* one
 // investigation (default GOMAXPROCS): ensemble and experimental-set
 // members integrate concurrently, and the refinement loop's graph
@@ -212,24 +206,11 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// DefaultBatch is the ensemble batching width sessions use unless
-// WithBatch overrides it: members fan into lockstep groups of this
-// many SIMD-style lanes on the batched bytecode VM.
+// DefaultBatch is the lockstep batching width: ensemble and
+// experimental members fan into groups of this many lanes on the
+// batched bytecode VM (a lone member runs on a solo VM). Outputs are
+// bit-identical to solo runs, which the tests pin against.
 const DefaultBatch = 8
-
-// WithBatch sets how many ensemble/experimental members integrate in
-// lockstep on one batched VM (default DefaultBatch). WithBatch(1)
-// disables batching — every member runs on its own solo VM, the
-// differential reference. Outputs are pinned bit-identical at every
-// batch width, so like WithParallelism this is purely a throughput
-// knob.
-func WithBatch(n int) Option {
-	return func(s *Session) {
-		if n > 0 {
-			s.batch = n
-		}
-	}
-}
 
 // NewSession builds a Session for one corpus configuration. Nothing is
 // generated until a stage needs it. The control build is always clean;
@@ -240,6 +221,8 @@ func NewSession(cfg corpus.Config, opts ...Option) *Session {
 		ensemble:   40,
 		expSize:    10,
 		sampler:    ValueSampling(0),
+		batch:      DefaultBatch,
+		newRunner:  model.NewRunner,
 		runners:    make(map[string]*cell[*model.Runner]),
 		compiled:   make(map[string]*cell[*Compiled]),
 		verdicts:   make(map[string]*cell[*Verdict]),
@@ -257,9 +240,6 @@ func NewSession(cfg corpus.Config, opts ...Option) *Session {
 	}
 	if s.parallel <= 0 {
 		s.parallel = runtime.GOMAXPROCS(0)
-	}
-	if s.batch <= 0 {
-		s.batch = DefaultBatch
 	}
 	if s.refine.Parallelism <= 0 {
 		s.refine.Parallelism = s.parallel
@@ -286,7 +266,7 @@ func (s *Session) runnerFor(ctx context.Context, key string, cfg corpus.Config, 
 		if err != nil {
 			return nil, err
 		}
-		r, err := model.NewRunnerEngine(base, s.engine)
+		r, err := s.newRunner(base)
 		if err != nil {
 			return nil, err
 		}
@@ -297,10 +277,6 @@ func (s *Session) runnerFor(ctx context.Context, key string, cfg corpus.Config, 
 		return r, nil
 	})
 }
-
-// Engine reports the session's execution engine name ("bytecode" or
-// "tree") — the label rcad's metrics attach to its job counters.
-func (s *Session) Engine() string { return s.engine.String() }
 
 // LassoStats reports how many §3 selection-stage lasso fits the
 // session has run and the total proximal-gradient iterations they

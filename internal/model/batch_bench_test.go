@@ -8,8 +8,9 @@ import (
 
 // The batched/solo pair below isolates the ensemble-execution stage:
 // the same eight members through one lockstep BatchVM versus eight
-// solo VM runs. The pipeline benchmarks at the repo root measure the
-// end-to-end effect.
+// solo VM runs. BenchmarkPipelineSixSpecsSession (repo root) and its
+// solo-VM twin BenchmarkPipelineSixSpecsSessionUnbatched
+// (internal/experiments) measure the end-to-end effect.
 
 func batchBenchRunner(b *testing.B) *Runner {
 	b.Helper()

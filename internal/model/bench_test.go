@@ -9,13 +9,13 @@ import (
 // BenchmarkRunBytecode / BenchmarkRunTree time one full 9-step
 // integration per engine on the bench-sized corpus — the per-member
 // cost every ensemble pays.
-func benchRunner(b *testing.B, kind EngineKind) {
+func benchRunner(b *testing.B, newRunner func(*corpus.Corpus) (*Runner, error)) {
 	b.Helper()
-	r, err := NewRunnerEngine(corpus.Generate(corpus.Config{AuxModules: 40, Seed: 2}), kind)
+	r, err := newRunner(corpus.Generate(corpus.Config{AuxModules: 40, Seed: 2}))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if kind != EngineTree {
+	if !r.tree {
 		r.Program() // compile outside the timed loop
 	}
 	b.ResetTimer()
@@ -27,8 +27,8 @@ func benchRunner(b *testing.B, kind EngineKind) {
 	}
 }
 
-func BenchmarkRunBytecode(b *testing.B) { benchRunner(b, EngineBytecode) }
-func BenchmarkRunTree(b *testing.B)     { benchRunner(b, EngineTree) }
+func BenchmarkRunBytecode(b *testing.B) { benchRunner(b, NewRunner) }
+func BenchmarkRunTree(b *testing.B)     { benchRunner(b, NewTreeRunner) }
 
 // BenchmarkBuildRunner times corpus parse + bytecode compile — the
 // per-source-fingerprint build cost the Session amortizes.
@@ -36,7 +36,7 @@ func BenchmarkBuildRunner(b *testing.B) {
 	c := corpus.Generate(corpus.Config{AuxModules: 40, Seed: 2})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := NewRunnerEngine(c, EngineBytecode)
+		r, err := NewRunner(c)
 		if err != nil {
 			b.Fatal(err)
 		}

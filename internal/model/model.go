@@ -4,11 +4,11 @@
 // the step-9 output global means the consistency test consumes
 // (UF-CAM-ECT evaluates at time step nine, paper §2.1).
 //
-// Two engines implement the integration substrate: the bytecode
-// register VM (internal/bytecode, the default — compiled once per
-// Runner and cached) and the tree-walking interpreter
-// (internal/interp, the reference oracle). Their outputs are pinned
-// bit-identical, so the choice is purely a throughput knob.
+// Every integration runs on the bytecode register VM
+// (internal/bytecode, compiled once per Runner and cached); ensembles
+// run in lockstep on its batched form. The tree-walking interpreter
+// (internal/interp) is the VM's reference oracle: NewTreeRunner builds
+// a Runner on it for the differential tests and nothing else.
 package model
 
 import (
@@ -39,39 +39,6 @@ const (
 	RNGMersenne
 )
 
-// EngineKind selects the execution engine for an integration.
-type EngineKind int
-
-// Engine choices. The zero value defers to the Runner's default,
-// which is the bytecode VM unless the Runner was built with
-// NewRunnerEngine(..., EngineTree).
-const (
-	EngineDefault EngineKind = iota
-	EngineBytecode
-	EngineTree
-)
-
-// String names the engine for metrics and CLI output.
-func (k EngineKind) String() string {
-	switch k {
-	case EngineTree:
-		return "tree"
-	default:
-		return "bytecode"
-	}
-}
-
-// ParseEngine maps CLI flag values onto engine kinds.
-func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "", "bytecode":
-		return EngineBytecode, nil
-	case "tree":
-		return EngineTree, nil
-	}
-	return EngineDefault, fmt.Errorf("model: unknown engine %q (want bytecode or tree)", s)
-}
-
 // RunConfig configures one model integration.
 type RunConfig struct {
 	Ncol int // columns; 0 = 16
@@ -100,8 +67,6 @@ type RunConfig struct {
 	// StopAfter limits the number of steps (0 = full 9 steps); the
 	// coverage filter runs only 2 steps, per §2.1.
 	StopAfter int
-	// Engine overrides the Runner's execution engine for this run.
-	Engine EngineKind
 }
 
 // Result is one completed integration.
@@ -113,14 +78,14 @@ type Result struct {
 	Engine interp.Engine
 }
 
-// Runner caches the parsed corpus — and, for the bytecode engine, the
-// compiled program — for repeated integrations. It is safe for
-// concurrent use: ensemble members fan out over one Runner.
+// Runner caches the parsed corpus and its compiled program for
+// repeated integrations. It is safe for concurrent use: ensemble
+// members fan out over one Runner.
 type Runner struct {
 	Corpus  *corpus.Corpus
 	Modules []*fortran.Module
 
-	engine EngineKind
+	tree bool // NewTreeRunner: integrate on the reference interpreter
 
 	progMu sync.Mutex
 	prog   *bytecode.Program
@@ -128,28 +93,28 @@ type Runner struct {
 	misses atomic.Uint64
 }
 
-// NewRunner parses the corpus once; integrations default to the
-// bytecode engine.
+// NewRunner parses the corpus once for integrations on the bytecode
+// VM.
 func NewRunner(c *corpus.Corpus) (*Runner, error) {
-	return NewRunnerEngine(c, EngineDefault)
-}
-
-// NewRunnerEngine parses the corpus once and fixes the default
-// execution engine for its integrations.
-func NewRunnerEngine(c *corpus.Corpus, engine EngineKind) (*Runner, error) {
 	mods, err := c.Parse()
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Corpus: c, Modules: mods, engine: engine}, nil
+	return &Runner{Corpus: c, Modules: mods}, nil
 }
 
-// Engine reports the Runner's default engine.
-func (r *Runner) Engine() EngineKind {
-	if r.engine == EngineTree {
-		return EngineTree
+// NewTreeRunner is NewRunner on the tree-walking interpreter: every
+// integration, RunBatchMeans included, runs solo through
+// internal/interp. It is the VM's reference oracle only — the
+// differential tests pin VM outputs against it and BenchmarkRunTree
+// times it; no production path builds one.
+func NewTreeRunner(c *corpus.Corpus) (*Runner, error) {
+	r, err := NewRunner(c)
+	if err != nil {
+		return nil, err
 	}
-	return EngineBytecode
+	r.tree = true
+	return r, nil
 }
 
 // progCache shares compiled programs process-wide, keyed by module
@@ -245,11 +210,7 @@ func (r *Runner) engineFor(cfg RunConfig, src rng.Source) (interp.Engine, error)
 		KernelWatch: cfg.KernelWatch,
 		SnapshotAll: cfg.SnapshotAll,
 	}
-	kind := cfg.Engine
-	if kind == EngineDefault {
-		kind = r.Engine()
-	}
-	if kind == EngineTree {
+	if r.tree {
 		return interp.NewMachine(r.Modules, icfg)
 	}
 	return r.Program().NewVM(icfg)
@@ -305,18 +266,15 @@ func (r *Runner) Run(cfg RunConfig) (*Result, error) {
 // through Run. Members share everything except the perturbation seed,
 // so the lanes execute the same instruction stream and diverge only at
 // data-dependent branches. Configurations the batched engine cannot
-// express (the tree engine, Trace callbacks) and single-member sets
-// fall back to solo runs. On failure the error of the lowest failing
-// member is returned, wrapped exactly as Run wraps it.
+// express (Trace callbacks, a NewTreeRunner reference) and
+// single-member sets fall back to solo runs. On failure the error of
+// the lowest failing member is returned, wrapped exactly as Run wraps
+// it.
 func (r *Runner) RunBatchMeans(base RunConfig, members []int) ([]ect.RunOutput, error) {
 	if len(members) == 0 {
 		return nil, nil
 	}
-	kind := base.Engine
-	if kind == EngineDefault {
-		kind = r.Engine()
-	}
-	if kind == EngineTree || base.Trace != nil || len(members) == 1 {
+	if r.tree || base.Trace != nil || len(members) == 1 {
 		out := make([]ect.RunOutput, len(members))
 		for i, m := range members {
 			cfg := base

@@ -200,20 +200,32 @@ func TestRunBatchMeansVariants(t *testing.T) {
 	}
 }
 
+// TestRunBatchMeansTreeFallback pins that a NewTreeRunner never runs
+// the VM: its RunBatchMeans integrates every member solo on the tree
+// walker (so no program is ever compiled), bit-identical to the VM
+// runner's lockstep batch.
 func TestRunBatchMeansTreeFallback(t *testing.T) {
-	r := runnerFor(t, corpus.Config{AuxModules: 20, Seed: 2})
-	batched, err := r.RunBatchMeans(RunConfig{Engine: EngineTree}, []int{0, 1})
+	c := corpus.Generate(corpus.Config{AuxModules: 20, Seed: 2})
+	tree, err := NewTreeRunner(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range []int{0, 1} {
-		solo, err := r.Run(RunConfig{Member: m, Engine: EngineTree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range solo.Means {
-			if math.Float64bits(batched[i][k]) != math.Float64bits(v) {
-				t.Fatalf("member %d output %s differs under tree fallback", m, k)
+	members := []int{0, 1}
+	got, err := tree.RunBatchMeans(RunConfig{}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.prog != nil {
+		t.Fatal("tree runner compiled a bytecode program")
+	}
+	want, err := runnerFor(t, corpus.Config{AuxModules: 20, Seed: 2}).RunBatchMeans(RunConfig{}, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range members {
+		for k, v := range want[i] {
+			if math.Float64bits(got[i][k]) != math.Float64bits(v) {
+				t.Fatalf("member %d output %s: tree %v, batched VM %v", m, k, got[i][k], v)
 			}
 		}
 	}

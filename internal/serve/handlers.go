@@ -353,7 +353,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	lfits, liters := s.session.LassoStats()
 	ls := lassoStats{Fits: lfits, Iters: liters}
-	s.m.write(w, s.session.Engine(), len(s.queue), s.store.Len(), s.inflight(), hits, misses, ls, as, rs)
+	s.m.write(w, len(s.queue), s.store.Len(), s.inflight(), hits, misses, ls, as, rs)
 }
 
 // deadLettered looks an id up in the shared queue's dead-letter

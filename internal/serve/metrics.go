@@ -29,17 +29,15 @@ type metrics struct {
 	searchIncumbentUpdates atomic.Int64 // best-known-solution improvements
 }
 
-// write renders the counters plus the gauges the server derives live.
-// Every job series carries the session's execution-engine label
-// (engine="bytecode" or engine="tree"), and the bytecode program
-// cache's hit/miss counters are reported alongside.
-func (m *metrics) write(w io.Writer, engine string, queueDepth, storeSize, inflight int, compileHits, compileMisses uint64, ls lassoStats, as artifactStats, rs robustStats) {
-	lbl := fmt.Sprintf(`{engine=%q}`, engine)
+// write renders the counters plus the gauges the server derives live,
+// the bytecode program cache's hit/miss counters among them. Series
+// are unlabelled: every job runs on the one execution path.
+func (m *metrics) write(w io.Writer, queueDepth, storeSize, inflight int, compileHits, compileMisses uint64, ls lassoStats, as artifactStats, rs robustStats) {
 	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s counter\nrcad_%s%s %d\n", name, help, name, name, lbl, v)
+		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s counter\nrcad_%s %d\n", name, help, name, name, v)
 	}
 	gauge := func(name, help string, v int) {
-		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s gauge\nrcad_%s%s %d\n", name, help, name, name, lbl, v)
+		fmt.Fprintf(w, "# HELP rcad_%s %s\n# TYPE rcad_%s gauge\nrcad_%s %d\n", name, help, name, name, v)
 	}
 	counter("jobs_submitted_total", "Accepted job submissions.", m.jobsSubmitted.Load())
 	counter("jobs_deduped_total", "Submissions that joined an identical in-flight execution.", m.jobsDeduped.Load())
